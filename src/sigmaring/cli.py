@@ -62,6 +62,16 @@ def _field_arg(text: str):
     raise argparse.ArgumentTypeError(f"field must be Q or fp:<prime>, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _emit_poly(p, naming: Naming, args) -> None:
     if args.json:
         print(json.dumps(poly_json_obj(p, naming)))
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-word-len", type=int, default=2)
     p.add_argument("--limit", type=int, default=1000, help="stop after this many (0 = all)")
     p.add_argument("--verify", choices=["randomized", "exact"], default=None)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", type=_field_arg, default="Q")
     p.add_argument("--out", help="write replayable certificates to this file")
@@ -305,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, ZeroDivisionError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

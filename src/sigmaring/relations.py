@@ -10,11 +10,14 @@ certificates.
 
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
-bit-for-bit from its seed alone.
+bit-for-bit from its seed alone.  Since the trial matrices depend only on
+(n, d, trials, seed, field), a run shares one set of trial contexts, with
+their word-product and sigma_t caches, across all of its relations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -145,13 +148,23 @@ def gl_relation_generators(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _trial_contexts(n: int, d: int, trials: int, seed: int, field) -> tuple[EvalContext, ...]:
+    return tuple(
+        EvalContext(
+            {k: random_matrix(n, seed + 1000 * i + k, field=field) for k in range(1, d + 1)}
+        )
+        for i in range(trials)
+    )
+
+
 def verify_randomized(
     poly: SigmaPoly, n: int, d: int, trials: int, seed: int, field="Q"
 ) -> bool:
-    field = field_of(field)
-    for i in range(trials):
-        mats = {k: random_matrix(n, seed + 1000 * i + k, field=field) for k in range(1, d + 1)}
-        if EvalContext(mats).eval_poly(poly):
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    for ctx in _trial_contexts(n, d, trials, seed, field_of(field)):
+        if ctx.eval_poly(poly):
             return False
     return True
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-import threading
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -197,7 +196,6 @@ def sigma_of_word(t: int, w: Word) -> SigmaPoly:
 # ---------------------------------------------------------------------------
 
 _power_memo: dict[tuple[int, int], SigmaPoly] = {}
-_power_lock = threading.Lock()
 
 _Expo = tuple[int, ...]
 _SymPoly = dict[_Expo, int]
@@ -230,8 +228,7 @@ def power_reduce(t: int, l: int) -> SigmaPoly:
     """P_{t,l}: s_t of an l-th power of a single letter, valid for every n."""
     if t < 1 or l < 1:
         raise ValueError("need t >= 1 and l >= 1")
-    with _power_lock:
-        cached = _power_memo.get((t, l))
+    cached = _power_memo.get((t, l))
     if cached is not None:
         return cached
 
@@ -266,8 +263,7 @@ def power_reduce(t: int, l: int) -> SigmaPoly:
 
     for c in result.monomials.values():
         assert c.denominator == 1
-    with _power_lock:
-        _power_memo[(t, l)] = result
+    _power_memo[(t, l)] = result
     return result
 
 
@@ -340,8 +336,14 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
     return total
 
 
+_normalize_memo: dict[tuple[int, LinComb], SigmaPoly] = {}
+
+
 def normalize(t: int, arg: LinComb) -> SigmaPoly:
     """The rewriting map: s_t(arg) as an element of the sigma-ring."""
+    cached = _normalize_memo.get((t, arg))
+    if cached is not None:
+        return cached
     if t < 1:
         raise ValueError("t must be >= 1")
     terms = arg.sorted_terms()
@@ -349,8 +351,11 @@ def normalize(t: int, arg: LinComb) -> SigmaPoly:
         raise ValueError("empty argument")
     if len(terms) == 1:
         w, c = terms[0]
-        return c**t * sigma_of_word(t, w)
-    return amitsur_expand(t, [(c, w) for w, c in terms])
+        result = c**t * sigma_of_word(t, w)
+    else:
+        result = amitsur_expand(t, [(c, w) for w, c in terms])
+    _normalize_memo[(t, arg)] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

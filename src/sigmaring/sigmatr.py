@@ -21,7 +21,6 @@ three-letter case x, y, z are letters 1, 2, 3.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .quiver import Quiver, index_sets
@@ -31,7 +30,6 @@ from .words import LinComb
 DEGREE_GUARD = 10
 
 _cache: dict[tuple, SigmaPoly] = {}
-_cache_lock = threading.Lock()
 
 
 def _signed_sum(q: Quiver, target: dict[int, int], base_exp: int) -> SigmaPoly:
@@ -62,15 +60,13 @@ def sigma_partial(
             "pass allow_large=True to force"
         )
     key = ("partial", ts, rs, ss)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
+    if key in _cache:
+        return _cache[key]
     u, v, w = len(ts), len(rs), len(ss)
     q = Quiver(u, v, w)
     target = {i + 1: k for i, k in enumerate(ts + rs + ss)}
     result = _signed_sum(q, target, sum(ts))
-    with _cache_lock:
-        _cache[key] = result
+    _cache[key] = result
     return result
 
 

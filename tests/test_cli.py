@@ -124,6 +124,24 @@ def test_relations_verify_and_replay(capsys, tmp_path):
     assert out.count("OK") == 4 and "MISMATCH" not in out
 
 
+def test_relations_rejects_zero_trials(capsys, tmp_path):
+    for trials in ("0", "-2", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["relations", "-n", "2", "-d", "1", "--max-deg", "3",
+                  "--verify", "randomized", "--trials", trials])
+        assert exc.value.code == 2
+    certs = tmp_path / "certs.json"
+    code, _, _ = run(capsys, "relations", "-n", "2", "-d", "1",
+                     "--max-deg", "3", "--limit", "1",
+                     "--verify", "randomized", "--out", str(certs))
+    assert code == 0
+    data = json.loads(certs.read_text())
+    data["certificates"][0]["trials"] = 0
+    certs.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(certs))
+    assert code == 2 and "error:" in err and "OK" not in out
+
+
 def test_relations_gl_exact(capsys):
     code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1",
                        "--kind", "gl", "--max-deg", "4", "--limit", "3",
@@ -160,6 +178,19 @@ def test_eval_fp_assignment(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "s2[x]", "--assign", str(assign))
     assert code == 0
     assert out.strip() == "5"  # -2 mod 7
+
+
+def test_eval_fp_vanishing_denominator_exits_two(capsys, tmp_path):
+    assign = tmp_path / "m.json"
+    assign.write_text(json.dumps({
+        "n": 2,
+        "field": "Fp",
+        "p": 5,
+        "assign": {"x": [["1/5", "2"], ["3", "4"]]},
+    }))
+    code, out, err = run(capsys, "eval", "s2[x]", "--assign", str(assign))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -92,6 +92,62 @@ def test_verify_randomized_detects_nonzero():
     assert not verify_randomized(sigma_tr(0, 1), 2, 3, trials=10, seed=3)
 
 
+def test_verify_randomized_rejects_no_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            verify_randomized(sigma_tr(1, 1), 2, 3, trials=trials, seed=3)
+
+
+def fresh_contexts_oracle(poly, n, d, trials, seed, field="Q"):
+    """Per-relation loop: new matrices and a new EvalContext per trial."""
+    for i in range(trials):
+        mats = {k: random_matrix(n, seed + 1000 * i + k, field=field) for k in range(1, d + 1)}
+        if EvalContext(mats).eval_poly(poly):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", ["Q", 10007])
+def test_shared_contexts_match_fresh_contexts(field):
+    rels = take_o(2, 2, 4)
+    for rel in rels:
+        got = verify_randomized(rel.poly, 2, 2, trials=3, seed=11, field=field)
+        assert got == fresh_contexts_oracle(rel.poly, 2, 2, 3, 11, field), rel.describe()
+    # at n = 3 the t + 2r = 3 shapes no longer vanish, so both verdicts occur
+    verdicts = set()
+    for rel in rels[::7]:
+        got = verify_randomized(rel.poly, 3, 2, trials=3, seed=11, field=field)
+        assert got == fresh_contexts_oracle(rel.poly, 3, 2, 3, 11, field), rel.describe()
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_shared_contexts_do_not_cross_configurations():
+    # sigma_tr(1, 1) vanishes at n = 2 but not at n = 3; sigma_tr(0, 1)
+    # vanishes at n = 1 but not at n = 2.  Over F_5 at seed 2, each vanishes
+    # by chance on the first trial at the size where it does not vanish
+    # identically (n = 3, n = 2), so one trial and four disagree there.
+    # More configurations than the memo holds, visited twice in
+    # interleaved order.
+    configs = [
+        (sigma_tr(t, r), n, 3, trials, seed, field)
+        for (t, r) in ((1, 1), (0, 1))
+        for n in (1, 2, 3)
+        for trials, seed in ((1, 2), (4, 2), (1, 8), (4, 8))
+        for field in ("Q", 5)
+    ]
+    verdicts = [fresh_contexts_oracle(*c) for c in configs]
+    assert set(verdicts) == {True, False}
+    for _ in range(2):
+        for c, want in zip(configs, verdicts):
+            assert verify_randomized(*c) == want, c[1:]
+        configs.reverse()
+        verdicts.reverse()
+    for n in (3, 2):
+        assert verify_randomized(sigma_tr(1, 1), n, 3, trials=5, seed=3) == (n == 2)
+    assert not verify_randomized(sigma_tr(0, 1), 2, 3, trials=10, seed=3)
+
+
 def test_poly_degree():
     assert poly_degree(sigma_tr(1, 1)) == 3
     assert poly_degree(sigma_tr(0, 0)) == 0
