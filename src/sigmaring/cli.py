@@ -315,7 +315,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (
+        ValueError, ZeroDivisionError, RecursionError, OSError, KeyError, json.JSONDecodeError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

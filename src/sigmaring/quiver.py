@@ -152,19 +152,21 @@ def index_sets(q: Quiver, target: dict[int, int]) -> Iterator[tuple[IndexPair, .
     def descend(i: int, remaining: tuple[int, ...]) -> Iterator[tuple[IndexPair, ...]]:
         if not any(remaining):
             yield tuple(chosen)
-            # further cycles would only add degree
-        if i >= len(cycles) or not any(remaining):
-            return
-        yield from descend(i + 1, remaining)
-        cyc = cycles[i]
-        j = 1
-        while True:
-            nxt = tuple(r - j * m for r, m in zip(remaining, cyc.mdeg))
-            if any(r < 0 for r in nxt):
-                break
-            chosen.append((j, cyc))
-            yield from descend(i + 1, nxt)
-            chosen.pop()
-            j += 1
+            return  # further cycles would only add degree
+        # One frame per picked cycle, never per skipped one: a target can
+        # have thousands of cycles but picks at most its total degree.
+        # Picking from the last cycle down keeps the order of the
+        # skip-first recursion.
+        for k in reversed(range(i, len(cycles))):
+            cyc = cycles[k]
+            j = 1
+            while True:
+                nxt = tuple(r - j * m for r, m in zip(remaining, cyc.mdeg))
+                if any(r < 0 for r in nxt):
+                    break
+                chosen.append((j, cyc))
+                yield from descend(k + 1, nxt)
+                chosen.pop()
+                j += 1
 
     yield from descend(0, goal)

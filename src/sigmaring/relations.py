@@ -12,7 +12,9 @@ Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
 bit-for-bit from its seed alone.  Since the trial matrices depend only on
 (n, d, trials, seed, field), a run shares one set of trial contexts, with
-their word-product and sigma_t caches, across all of its relations.
+their word-product and sigma_t caches, across all of its relations.  Exact
+verification likewise computes sigma_t of each generic word matrix once per
+(n, d) and shares it across every relation of the process.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,14 +179,20 @@ def verify_randomized(
 
 
 class MultiPoly:
-    """Sparse exact polynomial over Q in a fixed number of variables."""
+    """Sparse exact polynomial over Q in a fixed number of variables.
+
+    Integral coefficients are stored as int and the others as Fraction, so
+    the integer relations never pay for rational arithmetic."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         clean = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c:
                 clean[tuple(e)] = c
         self.nvars = nvars
@@ -191,26 +200,26 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MultiPoly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     def scale(self, c) -> "MultiPoly":
@@ -264,6 +273,29 @@ def _pm_sigma(a, t: int, nv: int) -> MultiPoly:
     return total
 
 
+# (n, d, t, word key) -> sigma_t of the generic word matrix, over d * n * n
+# variables.  Shared by every verify_exact call of the process; the exact
+# caps bound n, d, t and the word length, hence the number of keys.
+_generic_sigma_memo: dict[tuple, MultiPoly] = {}
+
+
+def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
+    key = (n, d, t, w.key())
+    hit = _generic_sigma_memo.get(key)
+    if hit is not None:
+        return hit
+    nv = d * n * n
+    gm = _generic_matrices(n, d)
+    prod = None
+    for lt in w:
+        m = gm[lt.index]
+        if lt.transposed:
+            m = [list(col) for col in zip(*m)]
+        prod = m if prod is None else _pm_mul(prod, m, nv)
+    out = _generic_sigma_memo[key] = _pm_sigma(prod, t, nv)
+    return out
+
+
 def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
     """Identically-zero check on generic matrix entries; refuses inputs
     beyond small hard caps since the expansion is dense."""
@@ -274,31 +306,11 @@ def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
     if poly_degree(poly) > EXACT_MAX_DEGREE:
         raise ValueError(f"exact mode is capped at degree {EXACT_MAX_DEGREE}")
     nv = d * n * n
-    gm = _generic_matrices(n, d)
-    word_cache: dict[tuple, list[list[MultiPoly]]] = {}
-
-    def word_matrix(w: Word):
-        key = w.key()
-        if key in word_cache:
-            return word_cache[key]
-        out = None
-        for lt in w:
-            m = gm[lt.index]
-            if lt.transposed:
-                m = [list(col) for col in zip(*m)]
-            out = m if out is None else _pm_mul(out, m, nv)
-        word_cache[key] = out
-        return out
-
-    sigma_cache: dict[tuple, MultiPoly] = {}
     total = MultiPoly.const(nv, 0)
     for mono, coeff in poly.monomials.items():
         term = MultiPoly.const(nv, coeff)
         for g in mono:
-            key = (g.t, g.cycle.key())
-            if key not in sigma_cache:
-                sigma_cache[key] = _pm_sigma(word_matrix(g.cycle), g.t, nv)
-            term = term * sigma_cache[key]
+            term = term * _generic_sigma(n, d, g.t, g.cycle)
         total = total + term
     return not total
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sigmaring import cli
 from sigmaring.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,3 +208,13 @@ def test_runtime_errors_exit_two(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "canon", "x y")  # brackets are mandatory
     assert code == 2
+
+
+def test_recursion_error_exits_two(capsys, monkeypatch):
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_sigma_tr", overflow)
+    code, out, err = run(capsys, "sigma-tr", "-t", "1", "-r", "1")
+    assert code == 2
+    assert out == "" and err.startswith("error: maximum recursion depth")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sigmaring.quiver import Quiver, QuiverCycle, index_sets
@@ -104,3 +106,70 @@ def test_index_sets_exponents():
     assert ((1, "[y z']"), (1, "[y z]")) in keys
     # four-letter primitive cycles appear with exponent 1
     assert any(any(len(c.word) == 4 for _, c in sel) for sel in sels)
+
+
+def skip_first_oracle(q, target):
+    """index_sets as one recursion frame per cycle, skipped or picked."""
+    goal = tuple(target.get(i, 0) for i in range(1, q.d + 1))
+    cycles = q.closed_cycles({i + 1: g for i, g in enumerate(goal)})
+    chosen = []
+
+    def descend(i, remaining):
+        if not any(remaining):
+            yield tuple(chosen)
+            return
+        if i >= len(cycles):
+            return
+        yield from descend(i + 1, remaining)
+        j = 1
+        while True:
+            nxt = tuple(r - j * m for r, m in zip(remaining, cycles[i].mdeg))
+            if any(r < 0 for r in nxt):
+                break
+            chosen.append((j, cycles[i]))
+            yield from descend(i + 1, nxt)
+            chosen.pop()
+            j += 1
+
+    yield from descend(0, goal)
+
+
+@pytest.mark.parametrize(
+    "blocks, target",
+    [
+        ((1, 1, 1), {1: 2, 2: 2, 3: 2}),
+        ((1, 1, 1), {1: 3, 2: 2, 3: 2}),
+        ((1, 1, 1), {2: 3, 3: 3}),
+        ((2, 1, 1), {1: 1, 2: 2, 3: 1, 4: 1}),
+        ((0, 2, 2), {1: 1, 2: 1, 3: 1, 4: 1}),
+    ],
+)
+def test_index_sets_order_matches_skip_first_recursion(blocks, target):
+    q = Quiver(*blocks)
+    assert list(index_sets(q, target)) == list(skip_first_oracle(q, target))
+
+
+def test_index_sets_many_cycles_at_default_recursion_limit():
+    # the index sets of sigma_{2,4}: more cycles than the recursion limit
+    q = Quiver(1, 1, 1)
+    target = {1: 2, 2: 4, 3: 4}
+    goal = (2, 4, 4)
+    cycles = q.closed_cycles(target)
+    assert len(cycles) > sys.getrecursionlimit()
+    # count the selections by a table over remaining multidegrees
+    ways = {goal: 1}
+    for c in cycles:
+        nxt = dict(ways)
+        for rem, k in ways.items():
+            j = 1
+            while all(r >= j * m for r, m in zip(rem, c.mdeg)):
+                key = tuple(r - j * m for r, m in zip(rem, c.mdeg))
+                nxt[key] = nxt.get(key, 0) + k
+                j += 1
+        ways = nxt
+    count = 0
+    for sel in index_sets(q, target):
+        total = [sum(j * c.mdeg[i] for j, c in sel) for i in range(3)]
+        assert tuple(total) == goal
+        count += 1
+    assert count == ways[(0, 0, 0)] > 0

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from sigmaring import relations
 from sigmaring.matrices import EvalContext, random_matrix
 from sigmaring.relations import (
+    EXACT_MAX_DEGREE,
     MultiPoly,
     Relation,
     certificate,
@@ -146,6 +148,72 @@ def test_shared_contexts_do_not_cross_configurations():
     for n in (3, 2):
         assert verify_randomized(sigma_tr(1, 1), n, 3, trials=5, seed=3) == (n == 2)
     assert not verify_randomized(sigma_tr(0, 1), 2, 3, trials=10, seed=3)
+
+
+def fresh_exact_oracle(poly, n, d):
+    """Per-call exact check: new generic matrices, word products and
+    sigma_t images for every polynomial."""
+    nv = d * n * n
+    gm = relations._generic_matrices(n, d)
+    word_cache = {}
+
+    def word_matrix(w):
+        key = w.key()
+        if key in word_cache:
+            return word_cache[key]
+        out = None
+        for lt in w:
+            m = gm[lt.index]
+            if lt.transposed:
+                m = [list(col) for col in zip(*m)]
+            out = m if out is None else relations._pm_mul(out, m, nv)
+        word_cache[key] = out
+        return out
+
+    sigma_cache = {}
+    total = MultiPoly.const(nv, 0)
+    for mono, coeff in poly.monomials.items():
+        term = MultiPoly.const(nv, coeff)
+        for g in mono:
+            key = (g.t, g.cycle.key())
+            if key not in sigma_cache:
+                sigma_cache[key] = relations._pm_sigma(word_matrix(g.cycle), g.t, nv)
+            term = term * sigma_cache[key]
+        total = total + term
+    return not total
+
+
+@pytest.mark.parametrize("n, d, budget", [(1, 1, 3), (1, 2, 3), (2, 1, 4), (2, 2, 4)])
+def test_shared_exact_images_match_fresh_oracle(n, d, budget):
+    rels = [r for r in take_o(n, d, budget) if poly_degree(r.poly) <= EXACT_MAX_DEGREE]
+    for rel in rels:
+        assert verify_exact(rel.poly, n, d), rel.describe()
+        assert fresh_exact_oracle(rel.poly, n, d), rel.describe()
+    if n == 1:
+        # at n = 2 the t + 2r = 2 shapes no longer vanish: both verdicts
+        verdicts = set()
+        for rel in rels:
+            got = verify_exact(rel.poly, 2, d)
+            assert got == fresh_exact_oracle(rel.poly, 2, d), rel.describe()
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
+    # n = 1 relations hold at n = 1 only, so both verdicts occur.  The
+    # one-letter polynomials are checked at d = 1 and at d = 2, where the
+    # same words have different variables.
+    monkeypatch.setattr(relations, "_generic_sigma_memo", {})
+    polys = [(r.poly, 1) for r in take_o(1, 1, 3)[::3]]
+    polys += [(r.poly, 2) for r in take_o(1, 2, 3)[::40]]
+    configs = [(p, n, d) for p, letters in polys for n in (1, 2) for d in range(letters, 3)]
+    verdicts = [fresh_exact_oracle(*c) for c in configs]
+    assert set(verdicts) == {True, False}
+    for _ in range(2):
+        for c, want in zip(configs, verdicts):
+            assert verify_exact(*c) == want, c[1:]
+        configs.reverse()
+        verdicts.reverse()
 
 
 def test_poly_degree():
