@@ -225,6 +225,8 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.assign) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("assign"), dict)):
+        raise ValueError("an assignment file is an object with an assign map")
     naming = Naming.scan(args.poly)
     p = parse_poly(args.poly, naming)
     mats = {}

@@ -1,20 +1,22 @@
 """Exact matrix evaluation over Q and over prime fields F_p (p odd).
 
-sigma_t of an n x n matrix is the sum of its principal t x t minors;
-each minor goes through fraction-free Bareiss elimination with row
-pivoting, which stays exact over both fields.  Truncation for t > n is
-automatic (there are no t x t minors).
+sigma_t of an n x n matrix is the sum of its principal t x t minors, the
+coefficient of x^t in det(1 + x A).  `_sigmas` computes all of
+sigma_0, ..., sigma_n at once with Berkowitz's division-free recurrence,
+so the same code runs over Q, over F_p and over polynomial entries (the
+generic matrices of exact verification).  sigma_t is 0 for t > n.
 
 EvalContext binds letter indices to matrices and evaluates sigma-ring
-polynomials, caching word products and minor sums per assignment.
+polynomials, caching word products and their sigma_t lists per assignment.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
 
 from .ring import SigmaPoly
 from .words import Word
@@ -120,6 +122,41 @@ class Fp:
         return str(self.v)
 
 
+def _dot(xs, ys):
+    """sum(x * y) over a nonempty pairing, without a ring zero."""
+    return reduce(operator.add, map(operator.mul, xs, ys))
+
+
+def _matmul(a, b):
+    """Product of square list-of-rows matrices over any commutative ring."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _sigmas(a, one) -> list:
+    """[sigma_0, ..., sigma_n] of the square list-of-rows matrix a over any
+    commutative ring with unit `one`, using only +, * and negation
+    (Berkowitz 1984).
+
+    With a_k the leading k x k block, a_{k+1} = [[a_k, c], [r, e]] and
+    v_j = r a_k^j c, det(1 + x a_{k+1}) is det(1 + x a_k) times
+    1 + e x - v_0 x^2 + v_1 x^3 - ... modulo x^(k+2); O(n^4) ring
+    operations in all.
+    """
+    s = [one]
+    for k, row in enumerate(a):
+        lead = [r[:k] for r in a[:k]]
+        col = [r[k] for r in a[:k]]
+        w = [one, row[k]]
+        for j in range(k):
+            if j:
+                col = [_dot(r, col) for r in lead]
+            v = _dot(row[:k], col)
+            w.append(v if j % 2 else -v)
+        s = [_dot(s[: i + 1], w[i::-1]) for i in range(k + 2)]
+    return s
+
+
 # A field is either the string "Q" or an odd prime p.
 
 
@@ -194,12 +231,7 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n or self.field != other.field:
             raise ValueError("shape or field mismatch")
-        n = self.n
-        cols = list(zip(*other.rows))
-        return self._like(
-            [[sum((a * b for a, b in zip(row, col)), self._zero_el()) for col in cols]
-             for row in self.rows]
-        )
+        return self._like(_matmul(self.rows, other.rows))
 
     @property
     def T(self) -> "ExactMatrix":
@@ -213,45 +245,15 @@ class ExactMatrix:
         return self.rows[i - 1][j - 1]
 
     def det(self):
-        """Bareiss fraction-free elimination with row pivoting."""
-        n = self.n
-        if n == 0:
-            return self._one_el()
-        m = [row[:] for row in self.rows]
-        sign = 1
-        prev = self._one_el()
-        for k in range(n - 1):
-            if not m[k][k]:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return self._zero_el()
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = self._zero_el()
-            prev = m[k][k]
-        return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
-
-    def principal_minor(self, rows: tuple[int, ...]):
-        sub = [[self.rows[i][j] for j in rows] for i in rows]
-        return ExactMatrix(sub, self.field).det()
+        return _sigmas(self.rows, self._one_el())[self.n]
 
     def sigma(self, t: int):
         """Sum of principal t x t minors; 1 for t = 0, 0 for t > n."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        if t == 0:
-            return self._one_el()
         if t > self.n:
             return self._zero_el()
-        total = self._zero_el()
-        for rows in combinations(range(self.n), t):
-            total = total + self.principal_minor(rows)
-        return total
+        return _sigmas(self.rows, self._one_el())[t]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
@@ -294,7 +296,7 @@ class EvalContext:
         self.n = sizes.pop()
         self.field = fields.pop()
         self._words: dict[tuple, ExactMatrix] = {}
-        self._sigmas: dict[tuple, object] = {}
+        self._sigmas: dict[tuple, list] = {}
 
     def word_matrix(self, w: Word) -> ExactMatrix:
         key = w.key()
@@ -313,11 +315,14 @@ class EvalContext:
         return out
 
     def sigma(self, t: int, w: Word):
-        key = (t, w.key())
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        key = w.key()
         hit = self._sigmas.get(key)
         if hit is None:
-            hit = self._sigmas[key] = self.word_matrix(w).sigma(t)
-        return hit
+            m = self.word_matrix(w)
+            hit = self._sigmas[key] = _sigmas(m.rows, m._one_el())
+        return hit[t] if t <= self.n else as_element(0, self.field)
 
     def eval_poly(self, p: SigmaPoly):
         total = as_element(0, self.field)
@@ -344,8 +349,15 @@ def matrix_json_obj(m: ExactMatrix) -> dict:
 
 
 def matrix_from_json_obj(obj: dict) -> ExactMatrix:
-    field = "Q" if obj["field"] == "Q" else int(obj["p"])
-    entries = [[Fraction(v) for v in row] for row in obj["entries"]]
+    rows = obj["entries"]
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and all(type(v) in (int, str) for v in row) for row in rows)
+    ):
+        raise ValueError("matrix entries must be rows of integers or rational strings")
+    # str() first, so that a p of any JSON type fails with ValueError
+    field = "Q" if obj["field"] == "Q" else int(str(obj["p"]))
+    entries = [[Fraction(v) for v in row] for row in rows]
     m = ExactMatrix(entries, field)
     if m.n != obj["n"]:
         raise ValueError("declared size does not match entries")

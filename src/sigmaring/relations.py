@@ -13,8 +13,10 @@ trial i is drawn with seed + 1000 * i + k, so a certificate replays
 bit-for-bit from its seed alone.  Since the trial matrices depend only on
 (n, d, trials, seed, field), a run shares one set of trial contexts, with
 their word-product and sigma_t caches, across all of its relations.  Exact
-verification likewise computes sigma_t of each generic word matrix once per
-(n, d) and shares it across every relation of the process.
+verification likewise computes sigma_0, ..., sigma_n of each generic word
+matrix once per (n, d), with the same division-free kernel that evaluates
+exact matrices (matrices._sigmas), and shares them across every relation of
+the process.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import functools
 import itertools
 import json
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import EvalContext, field_of, random_matrix
+from .matrices import EvalContext, _matmul, _sigmas, field_of, random_matrix
 from .ring import SigmaPoly, normalize
 from .sigmatr import sigma_partial_subst
 from .words import Letter, LinComb, Naming, Word, parse_word, word_text
@@ -222,9 +225,8 @@ class MultiPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+    def __neg__(self) -> "MultiPoly":
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -241,59 +243,27 @@ def _generic_matrices(n: int, d: int) -> dict[int, list[list[MultiPoly]]]:
     return mats
 
 
-def _pm_mul(a, b, nv: int):
-    n = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(n)), MultiPoly.const(nv, 0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _pm_sigma(a, t: int, nv: int) -> MultiPoly:
-    n = len(a)
-    if t == 0:
-        return MultiPoly.const(nv, 1)
-    if t > n:
-        return MultiPoly.const(nv, 0)
-    total = MultiPoly.const(nv, 0)
-    for rows in itertools.combinations(range(n), t):
-        for perm in itertools.permutations(range(t)):
-            sign = 1
-            for i in range(t):
-                for j in range(i + 1, t):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = MultiPoly.const(nv, sign)
-            for i in range(t):
-                prod = prod * a[rows[i]][rows[perm[i]]]
-            total = total + prod
-    return total
-
-
-# (n, d, t, word key) -> sigma_t of the generic word matrix, over d * n * n
-# variables.  Shared by every verify_exact call of the process; the exact
-# caps bound n, d, t and the word length, hence the number of keys.
-_generic_sigma_memo: dict[tuple, MultiPoly] = {}
+# (n, d, word key) -> [sigma_0, ..., sigma_n] of the generic word matrix,
+# over d * n * n variables.  Shared by every verify_exact call of the
+# process; the exact caps bound n, d and the word length, hence the number
+# of keys.
+_generic_sigma_memo: dict[tuple, list[MultiPoly]] = {}
 
 
 def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
-    key = (n, d, t, w.key())
-    hit = _generic_sigma_memo.get(key)
-    if hit is not None:
-        return hit
     nv = d * n * n
-    gm = _generic_matrices(n, d)
-    prod = None
-    for lt in w:
-        m = gm[lt.index]
-        if lt.transposed:
-            m = [list(col) for col in zip(*m)]
-        prod = m if prod is None else _pm_mul(prod, m, nv)
-    out = _generic_sigma_memo[key] = _pm_sigma(prod, t, nv)
-    return out
+    key = (n, d, w.key())
+    hit = _generic_sigma_memo.get(key)
+    if hit is None:
+        gm = _generic_matrices(n, d)
+        prod = None
+        for lt in w:
+            m = gm[lt.index]
+            if lt.transposed:
+                m = [list(col) for col in zip(*m)]
+            prod = m if prod is None else _matmul(prod, m)
+        hit = _generic_sigma_memo[key] = _sigmas(prod, MultiPoly.const(nv, 1))
+    return hit[t] if t <= n else MultiPoly.const(nv, 0)
 
 
 def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
@@ -358,7 +328,7 @@ def replay_certificate(cert: dict) -> bool:
     rel = rebuild_relation(cert)
     if cert["mode"] == "randomized":
         field = cert.get("field", "Q")
-        field = "Q" if field == "Q" else int(str(field).split(":")[1])
+        field = "Q" if field == "Q" else int(field.removeprefix("fp:"))
         return verify_randomized(
             rel.poly, rel.n, rel.d, cert["trials"], cert["seed"], field
         )
@@ -372,9 +342,36 @@ def write_certificates(certs: list[dict], path: str) -> None:
         json.dump({"version": CERT_VERSION, "certificates": certs}, fh, indent=1)
 
 
+def _check_certificate(cert) -> None:
+    """Raises ValueError unless cert has the JSON types that
+    rebuild_relation and replay_certificate read."""
+
+    def ints(v):
+        return isinstance(v, list) and all(type(x) is int for x in v)
+
+    shape = cert.get("shape") if isinstance(cert, dict) else None
+    if not (
+        isinstance(shape, dict)
+        and all(ints(shape.get(k)) for k in "trs")
+        and all(type(cert.get(k)) is int for k in ("n", "d"))
+        and isinstance(cert.get("words"), list)
+        and all(isinstance(w, str) for w in cert["words"])
+        and (
+            cert.get("mode") != "randomized"
+            or all(type(cert.get(k)) is int for k in ("trials", "seed"))
+            and re.fullmatch(r"Q|fp:\d+", str(cert.get("field", "Q")))
+        )
+    ):
+        raise ValueError(f"malformed certificate {json.dumps(cert)}")
+
+
 def read_certificates(path: str) -> list[dict]:
     with open(path) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("certificates"), list)):
+        raise ValueError("a certificate file is an object with a certificates list")
     if data.get("version") != CERT_VERSION:
         raise ValueError("unsupported certificate file version")
+    for cert in data["certificates"]:
+        _check_certificate(cert)
     return data["certificates"]

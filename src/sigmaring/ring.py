@@ -25,6 +25,7 @@ from .words import (
     LinComb,
     Naming,
     Word,
+    _period,
     canonicalize,
     mdeg_map,
     parse_word,
@@ -279,14 +280,8 @@ def _atom_cycles(p: int, maxdeg: int) -> list[tuple[int, ...]]:
     for length in range(1, maxdeg + 1):
         for tup in itertools.product(range(p), repeat=length):
             rots = [tup[i:] + tup[:i] for i in range(length)]
-            if tup != min(rots):
-                continue
-            if any(
-                length % q == 0 and tup == tup[:q] * (length // q)
-                for q in range(1, length)
-            ):
-                continue
-            out.append(tup)
+            if tup == min(rots) and _period(tup) == length:
+                out.append(tup)
     return out
 
 
@@ -321,16 +316,16 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
                 term = term * (coeff**j * sigma_of_word(j, word))
             total = total + term
             return
-        if i >= len(cycles):
-            return
-        descend(i + 1, budget, picked)
-        deg = len(cycles[i])
-        j = 1
-        while j * deg <= budget:
-            picked.append((cycles[i], j))
-            descend(i + 1, budget - j * deg, picked)
-            picked.pop()
-            j += 1
+        # One frame per picked cycle, as in quiver.index_sets; picking from
+        # the last cycle down keeps the order of the skip-first recursion.
+        for k in reversed(range(i, len(cycles))):
+            deg = len(cycles[k])
+            j = 1
+            while j * deg <= budget:
+                picked.append((cycles[k], j))
+                descend(k + 1, budget - j * deg, picked)
+                picked.pop()
+                j += 1
 
     descend(0, t, [])
     return total

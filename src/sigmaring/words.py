@@ -90,14 +90,16 @@ class Word:
         )
 
 
+def _period(seq: tuple) -> int:
+    """Least p such that seq is seq[:p] repeated; len(seq) when seq is
+    primitive."""
+    n = len(seq)
+    return next(p for p in range(1, n + 1) if n % p == 0 and seq == seq[:p] * (n // p))
+
+
 def is_primitive(w: Word) -> bool:
     """True iff w is not a proper power of a shorter word."""
-    seq = w.letters
-    n = len(seq)
-    for p in range(1, n):
-        if n % p == 0 and seq == seq[:p] * (n // p):
-            return False
-    return True
+    return _period(w.letters) == len(w)
 
 
 def canonicalize(w: Word) -> tuple[Word, int]:
@@ -107,20 +109,11 @@ def canonicalize(w: Word) -> tuple[Word, int]:
     minimum over all rotations of the root and of its transpose.
     """
     seq = w.letters
-    n = len(seq)
-    period = n
-    for p in range(1, n):
-        if n % p == 0 and seq == seq[:p] * (n // p):
-            period = p
-            break
+    period = _period(seq)
     root = Word(seq[:period])
     candidates = list(root.rotations())
     candidates.extend(root.T.rotations())
-    return min(candidates, key=Word.key), n // period
-
-
-def involute_word(w: Word) -> Word:
-    return w.T
+    return min(candidates, key=Word.key), len(seq) // period
 
 
 def mdeg(w: Word, d: int) -> tuple[int, ...]:
@@ -336,10 +329,6 @@ def parse_word(text: str, naming: Naming) -> Word:
     return Word(naming.parse_letter(tok) for tok in toks)
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
-
-
 def lincomb_text(lc: LinComb, naming: Naming) -> str:
     terms = lc.sorted_terms()
     if not terms:
@@ -347,7 +336,7 @@ def lincomb_text(lc: LinComb, naming: Naming) -> str:
     parts = []
     for i, (w, c) in enumerate(terms):
         mag = abs(c)
-        body = ("" if mag == 1 else f"{_coeff_text(mag)}*") + word_text(w, naming)
+        body = ("" if mag == 1 else f"{mag}*") + word_text(w, naming)
         if i == 0:
             parts.append(("-" if c < 0 else "") + body)
         else:

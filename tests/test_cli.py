@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmaring import cli
 from sigmaring.cli import main
@@ -218,3 +223,119 @@ def test_recursion_error_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "sigma-tr", "-t", "1", "-r", "1")
     assert code == 2
     assert out == "" and err.startswith("error: maximum recursion depth")
+
+
+CERT = {
+    "version": 1, "kind": "o", "n": 2, "d": 1,
+    "shape": {"t": [1], "r": [1], "s": [1]}, "words": ["x1", "x1", "x1"],
+    "mode": "randomized", "verified": True, "trials": 2, "seed": 0, "field": "Q",
+}
+ASSIGN = {"n": 2, "field": "Q", "assign": {"x": [["1", "2"], ["3", "4"]]}}
+
+
+@pytest.mark.parametrize("data", [
+    {"version": 1, "certificates": 5},
+    {"version": 1, "certificates": [{**CERT, "d": "2"}]},
+    [1],
+    {"version": 1, "certificates": [{**CERT, "field": "fp"}]},
+])
+def test_malformed_certificate_file_exits_two(capsys, tmp_path, data):
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_malformed_assignment_exits_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**ASSIGN, "assign": {"x": 5}}))
+    code, out, err = run(capsys, "eval", "tr[x]", "--assign", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def exit_code(argv) -> int:
+    """main's return value with its output discarded; an exception or an
+    argparse exit propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def exit_code_with_file(data, argv) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(data))
+        return exit_code([str(path) if a is None else a for a in argv])
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(
+    ["", "Q", "Fp", "fp", "fp:5", "fp:4", "o", "gl", "exact", "randomized",
+     "x", "x1", "x1'", "x1 x2", "1/2", "1/5", "5"]
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=2)
+    | st.dictionaries(st.sampled_from(["t", "r", "s", "x", "n", "version"]), kids, max_size=3),
+    max_leaves=6,
+)
+MISSING = object()
+
+
+def edited(base: dict, key, value) -> dict:
+    out = json.loads(json.dumps(base))
+    if value is MISSING:
+        out.pop(key, None)
+    else:
+        out[key] = value
+    return out
+
+
+def cert_files():
+    """Whole files of random JSON, and valid files with one certificate
+    field, one shape entry or the certificate list replaced or removed."""
+    value = JSON_VALUES | st.just(MISSING)
+    cert = st.builds(edited, st.just(CERT), st.sampled_from(sorted(CERT)), value)
+    cert |= st.builds(
+        lambda k, v: edited(CERT, "shape", edited(CERT["shape"], k, v)),
+        st.sampled_from("trs"), value,
+    )
+    files = st.builds(lambda c: {"version": 1, "certificates": [c]}, cert)
+    files |= st.builds(
+        edited, st.just({"version": 1, "certificates": [CERT]}),
+        st.sampled_from(["version", "certificates"]), value,
+    )
+    return files | JSON_VALUES
+
+
+def assign_files():
+    value = JSON_VALUES | st.just(MISSING)
+    files = st.builds(edited, st.just(ASSIGN), st.sampled_from(sorted(ASSIGN)), value)
+    files |= st.builds(
+        lambda v: edited(ASSIGN, "assign", {"x": v}),
+        JSON_VALUES | st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=3),
+    )
+    return files | JSON_VALUES
+
+
+POLY_TEXT = st.text(alphabet="[]xy' +-*/12^strabc", max_size=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cert_files())
+def test_verify_never_raises(data):
+    assert exit_code_with_file(data, ["verify", None]) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assign_files(), st.sampled_from(["tr[x]", "s2[x] - tr[x x]", "tr[x]^2"]))
+def test_eval_assignment_never_raises(data, poly):
+    assert exit_code_with_file(data, ["eval", "--assign", None, "--", poly]) in (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_TEXT)
+def test_text_inputs_never_raise(text):
+    assert exit_code_with_file(ASSIGN, ["eval", "--assign", None, "--", text]) in (0, 1, 2)
+    assert exit_code(["amitsur", "-t", "2", "--", text]) in (0, 1, 2)
+    assert exit_code(["canon", "--", text]) in (0, 1, 2)

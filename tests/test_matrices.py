@@ -58,6 +58,22 @@ def test_det_matches_leibniz(field, n):
         assert m.det() == leibniz_det(m)
 
 
+@pytest.mark.parametrize("field", ["Q", 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_sigma_matches_principal_minor_leibniz(field, n):
+    """Every sigma_t, t = 0..n+1, of the division-free kernel against the
+    sum of Leibniz expansions of the principal t x t minors."""
+    for trial in range(3):
+        m = random_matrix(n, 1700 + 10 * n + trial, field=field)
+        for t in range(n + 2):
+            want = m._zero_el()
+            for rows in itertools.combinations(range(n), t):
+                sub = ExactMatrix([[m.rows[i][j] for j in rows] for i in rows], field)
+                want = want + leibniz_det(sub)
+            assert m.sigma(t) == want, (t, m)
+    assert m.det() == m.sigma(n)
+
+
 def test_det_pivoting():
     # leading zero forces a row swap
     m = ExactMatrix([[0, 1], [1, 0]])

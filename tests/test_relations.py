@@ -150,9 +150,42 @@ def test_shared_contexts_do_not_cross_configurations():
     assert not verify_randomized(sigma_tr(0, 1), 2, 3, trials=10, seed=3)
 
 
+def _pm_mul(a, b, nv: int):
+    n = len(a)
+    return [
+        [
+            sum((a[i][k] * b[k][j] for k in range(n)), MultiPoly.const(nv, 0))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _pm_sigma(a, t: int, nv: int) -> MultiPoly:
+    n = len(a)
+    if t == 0:
+        return MultiPoly.const(nv, 1)
+    if t > n:
+        return MultiPoly.const(nv, 0)
+    total = MultiPoly.const(nv, 0)
+    for rows in itertools.combinations(range(n), t):
+        for perm in itertools.permutations(range(t)):
+            sign = 1
+            for i in range(t):
+                for j in range(i + 1, t):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            prod = MultiPoly.const(nv, sign)
+            for i in range(t):
+                prod = prod * a[rows[i]][rows[perm[i]]]
+            total = total + prod
+    return total
+
+
 def fresh_exact_oracle(poly, n, d):
     """Per-call exact check: new generic matrices, word products and
-    sigma_t images for every polynomial."""
+    Leibniz sigma_t images for every polynomial, independent of the
+    division-free kernel."""
     nv = d * n * n
     gm = relations._generic_matrices(n, d)
     word_cache = {}
@@ -166,7 +199,7 @@ def fresh_exact_oracle(poly, n, d):
             m = gm[lt.index]
             if lt.transposed:
                 m = [list(col) for col in zip(*m)]
-            out = m if out is None else relations._pm_mul(out, m, nv)
+            out = m if out is None else _pm_mul(out, m, nv)
         word_cache[key] = out
         return out
 
@@ -177,10 +210,29 @@ def fresh_exact_oracle(poly, n, d):
         for g in mono:
             key = (g.t, g.cycle.key())
             if key not in sigma_cache:
-                sigma_cache[key] = relations._pm_sigma(word_matrix(g.cycle), g.t, nv)
+                sigma_cache[key] = _pm_sigma(word_matrix(g.cycle), g.t, nv)
             term = term * sigma_cache[key]
         total = total + term
     return not total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generic_sigma_matches_leibniz(n):
+    """The division-free kernel on generic word matrices, every t in
+    0..n+1, against the Leibniz principal-minor expansion."""
+    d = 2
+    nv = d * n * n
+    gm = relations._generic_matrices(n, d)
+    for w in enumerate_words(d, 2):
+        prod = None
+        for lt in w:
+            m = gm[lt.index]
+            if lt.transposed:
+                m = [list(col) for col in zip(*m)]
+            prod = m if prod is None else _pm_mul(prod, m, nv)
+        for t in range(n + 2):
+            got = relations._generic_sigma(n, d, t, w)
+            assert got.terms == _pm_sigma(prod, t, nv).terms, (n, t, w)
 
 
 @pytest.mark.parametrize("n, d, budget", [(1, 1, 3), (1, 2, 3), (2, 1, 4), (2, 2, 4)])
@@ -225,9 +277,9 @@ def test_multipoly_ops():
     x = MultiPoly.var(2, 0)
     y = MultiPoly.var(2, 1)
     two = MultiPoly.const(2, 2)
-    p = (x + y) * (x + y.scale(-1))
+    p = (x + y) * (x + -y)
     assert p.terms == {(2, 0): 1, (0, 2): -1}
-    assert not (p + p.scale(-1))
+    assert not (p + -p)
     assert (two * x).terms == {(1, 0): 2}
 
 

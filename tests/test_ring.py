@@ -1,11 +1,14 @@
+import inspect
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmaring import ring
 from sigmaring.matrices import EvalContext, random_matrix
 from sigmaring.ring import (
     SigmaGen,
@@ -89,6 +92,73 @@ def test_amitsur_two_letters():
     b = LinComb.of(W((2, False)))
     got = poly_text(normalize(2, a + b), Naming.generic(2, "a"))
     assert got == "tr[a1]*tr[a2] - tr[a1 a2] + s2[a1] + s2[a2]"
+
+
+def skip_first_amitsur(t, summands):
+    """amitsur_expand as one recursion frame per atom cycle, skipped or
+    picked."""
+    cycles = ring._atom_cycles(len(summands), t)
+    total = SigmaPoly.zero()
+
+    def descend(i, budget, picked):
+        nonlocal total
+        if budget == 0:
+            jsum = sum(j for _, j in picked)
+            term = SigmaPoly.scalar(Fraction((-1) ** (t - jsum)))
+            for cyc, j in picked:
+                coeff = Fraction(1)
+                word = None
+                for atom in cyc:
+                    coeff *= summands[atom][0]
+                    word = summands[atom][1] if word is None else word * summands[atom][1]
+                term = term * (coeff**j * sigma_of_word(j, word))
+            total = total + term
+            return
+        if i >= len(cycles):
+            return
+        descend(i + 1, budget, picked)
+        deg = len(cycles[i])
+        j = 1
+        while j * deg <= budget:
+            picked.append((cycles[i], j))
+            descend(i + 1, budget - j * deg, picked)
+            picked.pop()
+            j += 1
+
+    descend(0, t, [])
+    return total
+
+
+AMITSUR_SUMMANDS = [
+    (Fraction(1), W((1, False))),
+    (Fraction(-2, 3), W((2, False), (1, True))),
+    (Fraction(3), W((2, True))),
+]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_amitsur_matches_skip_first_recursion(t, p):
+    got = amitsur_expand(t, AMITSUR_SUMMANDS[:p])
+    want = skip_first_amitsur(t, AMITSUR_SUMMANDS[:p])
+    assert list(got.monomials.items()) == list(want.monomials.items())
+
+
+def test_amitsur_many_cycles_under_low_recursion_limit():
+    # s_9 of a two-word sum has 127 atom cycles; the expansion needs a
+    # frame per picked cycle only, at most 9 of them.
+    summands = AMITSUR_SUMMANDS[:2]
+    want = skip_first_amitsur(9, summands)
+    cycles = ring._atom_cycles(2, 9)
+    limit = len(inspect.stack(0)) + 60
+    assert limit < len(cycles)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        got = amitsur_expand(9, summands)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == want
 
 
 def test_normalize_scalar_rule():
