@@ -62,14 +62,21 @@ def _field_arg(text: str):
     raise argparse.ArgumentTypeError(f"field must be Q or fp:<prime>, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _emit_poly(p, naming: Naming, args) -> None:
@@ -291,12 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multilinear", action="store_true")
 
     p = add("relations", cmd_relations, help="enumerate and verify relation generators")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
+    p.add_argument("-d", type=_positive_int, required=True)
     p.add_argument("--kind", choices=["o", "gl"], default="o")
     p.add_argument("--max-deg", type=int, default=None, help="total degree budget (default n+4)")
     p.add_argument("--max-word-len", type=int, default=2)
-    p.add_argument("--limit", type=int, default=1000, help="stop after this many (0 = all)")
+    p.add_argument(
+        "--limit", type=_nonnegative_int, default=1000, help="stop after this many (0 = all)"
+    )
     p.add_argument("--verify", choices=["randomized", "exact"], default=None)
     p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)

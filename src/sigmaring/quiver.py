@@ -95,6 +95,8 @@ class Quiver:
         classes under transpose.
         """
         budget = {i: budget.get(i, 0) for i in range(1, self.d + 1)}
+        if any(b < 0 for b in budget.values()):
+            raise ValueError("negative degree budget")
         seen: set[tuple] = set()
         found: list[QuiverCycle] = []
         path: list[Letter] = []

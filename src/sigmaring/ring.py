@@ -67,6 +67,17 @@ def _mono_key(m: Monomial) -> tuple:
     return (sum(g.degree for g in m), tuple(g.key() for g in m))
 
 
+def _add_into(acc: dict[Monomial, Fraction], p: "SigmaPoly") -> None:
+    """acc += p in place.  A monomial that cancels is dropped, so a sum
+    accumulated here keeps the monomial order of a chain of `+`."""
+    for m, c in p.monomials.items():
+        c += acc.get(m, 0)
+        if c:
+            acc[m] = c
+        else:
+            acc.pop(m, None)
+
+
 class SigmaPoly:
     """Sparse commutative polynomial in sigma generators over Q."""
 
@@ -110,8 +121,7 @@ class SigmaPoly:
 
     def __add__(self, other: "SigmaPoly") -> "SigmaPoly":
         out = dict(self.monomials)
-        for m, c in other.monomials.items():
-            out[m] = out.get(m, Fraction(0)) + c
+        _add_into(out, other)
         return SigmaPoly(out)
 
     def __sub__(self, other: "SigmaPoly") -> "SigmaPoly":
@@ -189,78 +199,48 @@ def sigma_of_word(t: int, w: Word) -> SigmaPoly:
 # ---------------------------------------------------------------------------
 # Power formula: s_t(A^l) as an integer polynomial in s_1(A)..s_{tl}(A).
 #
-# With N = t*l formal eigenvalues, s_t(A^l) = e_t(la_1^l, ..., la_N^l); the
-# conversion into the elementary symmetric basis subtracts leading terms:
-# the lex-leading exponent mu of a symmetric polynomial is weakly
-# decreasing, and e_1^(mu_1-mu_2) e_2^(mu_2-mu_3) ... e_N^(mu_N) has leading
-# exponent exactly mu with coefficient 1.
+# With e_k = s_k(A) and p_k = tr(A^k), Newton's identities (Macdonald,
+# Symmetric Functions and Hall Polynomials, I.2) give the power sums
+#     p_k = sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k,
+# and, since tr((A^l)^i) = p_{il}, the elementary functions E_k of A^l
+#     E_0 = 1,  E_k = (1/k) sum_{i=1}^{k} (-1)^(i-1) E_{k-i} p_{il}.
+# s_t(A^l) = E_t.  Both recurrences are identities of symmetric functions
+# in N = t*l variables, where e_1..e_N are free, so E_t is the unique such
+# polynomial and holds for every n (for n < N, s_k(A) = 0 when k > n).
 # ---------------------------------------------------------------------------
 
 _power_memo: dict[tuple[int, int], SigmaPoly] = {}
 
-_Expo = tuple[int, ...]
-_SymPoly = dict[_Expo, int]
 
-
-def _elementary(nvars: int) -> list[_SymPoly]:
-    """e_0..e_nvars as monomial dicts over nvars variables."""
-    es: list[_SymPoly] = [{(0,) * nvars: 1}]
-    for k in range(1, nvars + 1):
-        ek: _SymPoly = {}
-        for subset in itertools.combinations(range(nvars), k):
-            expo = [0] * nvars
-            for i in subset:
-                expo[i] = 1
-            ek[tuple(expo)] = 1
-        es.append(ek)
-    return es
-
-
-def _sym_mul(a: _SymPoly, b: _SymPoly) -> _SymPoly:
-    out: _SymPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+def _alternating_sum(terms: list[SigmaPoly]) -> SigmaPoly:
+    """terms[0] - terms[1] + terms[2] - ..."""
+    acc: dict[Monomial, Fraction] = {}
+    for i, term in enumerate(terms):
+        _add_into(acc, -term if i % 2 else term)
+    return SigmaPoly(acc)
 
 
 def power_reduce(t: int, l: int) -> SigmaPoly:
-    """P_{t,l}: s_t of an l-th power of a single letter, valid for every n."""
+    """P_{t,l}: s_t of an l-th power of a single letter, valid for every n,
+    from Newton's identities in O((t*l)^2) ring operations."""
     if t < 1 or l < 1:
         raise ValueError("need t >= 1 and l >= 1")
     cached = _power_memo.get((t, l))
     if cached is not None:
         return cached
 
-    nvars = t * l
-    es = _elementary(nvars)
-    target: _SymPoly = {}
-    for subset in itertools.combinations(range(nvars), t):
-        expo = [0] * nvars
-        for i in subset:
-            expo[i] = l
-        target[tuple(expo)] = 1
-
     letter_a = Word([Letter(1)])
-    result = SigmaPoly.zero()
-    while target:
-        mu = max(target)
-        assert all(mu[i] >= mu[i + 1] for i in range(nvars - 1)), mu
-        coeff = target[mu]
-        factor: _SymPoly = es[0]
-        gens: list[SigmaGen] = []
-        for k in range(1, nvars + 1):
-            mult = mu[k - 1] - (mu[k] if k < nvars else 0)
-            for _ in range(mult):
-                factor = _sym_mul(factor, es[k])
-            if mult:
-                gens.extend([SigmaGen(k, letter_a)] * mult)
-        for e, c in factor.items():
-            target[e] = target.get(e, 0) - coeff * c
-            if not target[e]:
-                del target[e]
-        result = result + SigmaPoly({_mono_sorted(gens): Fraction(coeff)})
+    e = [SigmaPoly.one()] + [
+        SigmaPoly.from_gen(SigmaGen(k, letter_a)) for k in range(1, t * l + 1)
+    ]
+    p = [SigmaPoly.zero()]
+    for k in range(1, t * l + 1):
+        p.append(_alternating_sum([e[i] * p[k - i] for i in range(1, k)] + [k * e[k]]))
+    powered = [SigmaPoly.one()]
+    for k in range(1, t + 1):
+        terms = [powered[k - i] * p[i * l] for i in range(1, k + 1)]
+        powered.append(Fraction(1, k) * _alternating_sum(terms))
+    result = powered[t]
 
     for c in result.monomials.values():
         assert c.denominator == 1
@@ -300,10 +280,9 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
     p = len(summands)
     cycles = _atom_cycles(p, t)
 
-    total = SigmaPoly.zero()
+    total: dict[Monomial, Fraction] = {}
 
     def descend(i: int, budget: int, picked: list[tuple[tuple[int, ...], int]]):
-        nonlocal total
         if budget == 0:
             jsum = sum(j for _, j in picked)
             term = SigmaPoly.scalar(Fraction((-1) ** (t - jsum)))
@@ -314,7 +293,7 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
                     coeff *= summands[atom][0]
                     word = summands[atom][1] if word is None else word * summands[atom][1]
                 term = term * (coeff**j * sigma_of_word(j, word))
-            total = total + term
+            _add_into(total, term)
             return
         # One frame per picked cycle, as in quiver.index_sets; picking from
         # the last cycle down keeps the order of the skip-first recursion.
@@ -328,7 +307,7 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
                 j += 1
 
     descend(0, t, [])
-    return total
+    return SigmaPoly(total)
 
 
 _normalize_memo: dict[tuple[int, LinComb], SigmaPoly] = {}
@@ -376,7 +355,7 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
     if missing:
         raise ValueError(f"no assignment for letter indices {sorted(missing)}")
     gen_cache: dict[SigmaGen, SigmaPoly] = {}
-    out = SigmaPoly.zero()
+    out: dict[Monomial, Fraction] = {}
     for m, c in p.monomials.items():
         term = SigmaPoly.scalar(c)
         for g in m:
@@ -385,8 +364,8 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
                 img = normalize(g.t, _word_image(g.cycle, assignment))
                 gen_cache[g] = img
             term = term * img
-        out = out + term
-    return out
+        _add_into(out, term)
+    return SigmaPoly(out)
 
 
 def lin(p: SigmaPoly, d: int) -> SigmaPoly:

@@ -153,7 +153,8 @@ def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
             raise ValueError(f"no matrix for label {lab}")
         if mats[lab].n != n:
             raise ValueError("matrix size must equal the number of rows")
-    field = next(iter(mats.values())).field
+    # A tableau without arrows (n = 0) evaluates to the empty product 1.
+    field = next((m.field for m in mats.values()), "Q")
 
     groups: dict[tuple[int, int], list[int]] = {}
     for a in T.arrows:

@@ -108,6 +108,47 @@ def test_bpf_json_fields(capsys):
     int(data["value"])
 
 
+def test_bpf_empty_tableau_prints_one(capsys):
+    # T(0, 0) has no arrows and no labels: its value is the empty product,
+    # as `dp -n 0 -r 0` and `sigma-tr -t 0 -r 0` print.
+    for field in ("Q", "fp:5"):
+        code, out, err = run(capsys, "bpf", "-t", "0", "-r", "0", "--field", field)
+        assert (code, out, err) == (0, "1\n", "")
+    assert run(capsys, "dp", "-n", "0", "-r", "0")[:2] == (0, "1\n")
+
+
+def test_cycles_negative_budget_exits_two(capsys):
+    for t, r in (("-1", "0"), ("0", "-2")):
+        code, out, err = run(capsys, "cycles", "-t", t, "-r", r)
+        assert code == 2
+        assert out == "" and err == "error: negative degree budget\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["-n", "-1", "-d", "1", "--verify", "exact"],
+    ["-n", "0", "-d", "1"],
+    ["-n", "2", "-d", "0"],
+    ["-n", "2", "-d", "-1", "--verify", "randomized"],
+    ["-n", "2", "-d", "1", "--limit", "-1"],
+    ["-n", "2", "-d", "1", "--limit", "five"],
+])
+def test_relations_rejects_bad_sizes(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "--max-deg", "3", *extra])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "expected an integer" in err
+
+
+def test_relations_limit_zero_lists_all(capsys):
+    code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1",
+                       "--max-deg", "3", "--limit", "0")
+    _, capped, _ = run(capsys, "relations", "-n", "2", "-d", "1",
+                       "--max-deg", "3", "--limit", "5")
+    assert code == 0
+    assert len(out.splitlines()) > 5 and out.startswith(capped)
+
+
 def test_relations_listing(capsys):
     code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1",
                        "--max-deg", "3", "--limit", "5")

@@ -47,6 +47,13 @@ def test_closed_cycles_small_budgets():
     ]
 
 
+def test_closed_cycles_rejects_negative_budget():
+    q = Quiver(1, 1, 1)
+    for budget in ({1: -1}, {1: 1, 3: -2}):
+        with pytest.raises(ValueError, match="negative degree budget"):
+            q.closed_cycles(budget)
+
+
 def test_cycles_are_canonical_closed_and_primitive():
     q = Quiver(1, 2, 1)
     for c in q.closed_cycles({1: 2, 2: 1, 3: 1, 4: 2}):

@@ -57,11 +57,13 @@ def test_power_reduce_literal():
     assert poly_text(power_reduce(1, 2), A_) == "tr[a]^2 - 2*s2[a]"
 
 
-@pytest.mark.parametrize("t,l", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4), (1, 5)])
+@pytest.mark.parametrize(
+    "t,l", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4), (1, 5), (2, 5), (4, 3)]
+)
 def test_power_reduce_eigenvalue_oracle(t, l):
     """s_t(D^l) for diagonal D equals e_t of the powered eigenvalues;
     the reduction must therefore hold under s_k -> e_k(eigenvalues)."""
-    vals = [2, 3, 5, 7, 11, 13, 17, 19][: t * l]
+    vals = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37][: t * l]
     want = elementary([v**l for v in vals], t)
     got = Fraction(0)
     for mono, coeff in power_reduce(t, l).monomials.items():
@@ -72,6 +74,84 @@ def test_power_reduce_eigenvalue_oracle(t, l):
     assert got == want
     # and all coefficients are integers
     assert all(c.denominator == 1 for c in power_reduce(t, l).monomials.values())
+
+
+# The symmetric-polynomial elimination that computed power_reduce before
+# Newton's identities, kept as an independent oracle.
+#
+# With N = t*l formal eigenvalues, s_t(A^l) = e_t(la_1^l, ..., la_N^l); the
+# conversion into the elementary symmetric basis subtracts leading terms:
+# the lex-leading exponent mu of a symmetric polynomial is weakly
+# decreasing, and e_1^(mu_1-mu_2) e_2^(mu_2-mu_3) ... e_N^(mu_N) has leading
+# exponent exactly mu with coefficient 1.
+
+_Expo = tuple[int, ...]
+_SymPoly = dict[_Expo, int]
+
+
+def _elementary(nvars: int) -> list[_SymPoly]:
+    """e_0..e_nvars as monomial dicts over nvars variables."""
+    es: list[_SymPoly] = [{(0,) * nvars: 1}]
+    for k in range(1, nvars + 1):
+        ek: _SymPoly = {}
+        for subset in itertools.combinations(range(nvars), k):
+            expo = [0] * nvars
+            for i in subset:
+                expo[i] = 1
+            ek[tuple(expo)] = 1
+        es.append(ek)
+    return es
+
+
+def _sym_mul(a: _SymPoly, b: _SymPoly) -> _SymPoly:
+    out: _SymPoly = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def elimination_power_reduce(t: int, l: int) -> SigmaPoly:
+    nvars = t * l
+    es = _elementary(nvars)
+    target: _SymPoly = {}
+    for subset in itertools.combinations(range(nvars), t):
+        expo = [0] * nvars
+        for i in subset:
+            expo[i] = l
+        target[tuple(expo)] = 1
+
+    letter_a = Word([Letter(1)])
+    result = SigmaPoly.zero()
+    while target:
+        mu = max(target)
+        assert all(mu[i] >= mu[i + 1] for i in range(nvars - 1)), mu
+        coeff = target[mu]
+        factor: _SymPoly = es[0]
+        gens: list[SigmaGen] = []
+        for k in range(1, nvars + 1):
+            mult = mu[k - 1] - (mu[k] if k < nvars else 0)
+            for _ in range(mult):
+                factor = _sym_mul(factor, es[k])
+            if mult:
+                gens.extend([SigmaGen(k, letter_a)] * mult)
+        for e, c in factor.items():
+            target[e] = target.get(e, 0) - coeff * c
+            if not target[e]:
+                del target[e]
+        result = result + SigmaPoly({ring._mono_sorted(gens): Fraction(coeff)})
+    return result
+
+
+@pytest.mark.parametrize(
+    "t,l", [(t, l) for t in range(1, 9) for l in range(1, 9) if t * l <= 8]
+)
+def test_power_reduce_matches_elimination_oracle(t, l):
+    got = power_reduce(t, l)
+    want = elimination_power_reduce(t, l)
+    assert got == want
+    assert got.sorted_monomials() == want.sorted_monomials()
 
 
 def test_sigma_of_word_canonicalizes():
