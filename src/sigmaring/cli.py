@@ -301,8 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("-d", type=_positive_int, required=True)
     p.add_argument("--kind", choices=["o", "gl"], default="o")
-    p.add_argument("--max-deg", type=int, default=None, help="total degree budget (default n+4)")
-    p.add_argument("--max-word-len", type=int, default=2)
+    p.add_argument(
+        "--max-deg", type=_nonnegative_int, default=None, help="total degree budget (default n+4)"
+    )
+    p.add_argument("--max-word-len", type=_positive_int, default=2)
     p.add_argument(
         "--limit", type=_nonnegative_int, default=1000, help="stop after this many (0 = all)"
     )

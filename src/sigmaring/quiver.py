@@ -151,24 +151,29 @@ def index_sets(q: Quiver, target: dict[int, int]) -> Iterator[tuple[IndexPair, .
     cycles = q.closed_cycles({i + 1: g for i, g in enumerate(goal)})
     chosen: list[IndexPair] = []
 
-    def descend(i: int, remaining: tuple[int, ...]) -> Iterator[tuple[IndexPair, ...]]:
+    def descend(
+        cands: list[QuiverCycle], remaining: tuple[int, ...]
+    ) -> Iterator[tuple[IndexPair, ...]]:
         if not any(remaining):
             yield tuple(chosen)
             return  # further cycles would only add degree
+        # A cycle that does not fit the remaining degree never fits a
+        # child's smaller one, so the candidates are filtered once per node.
+        fits = [c for c in cands if all(m <= r for m, r in zip(c.mdeg, remaining))]
         # One frame per picked cycle, never per skipped one: a target can
         # have thousands of cycles but picks at most its total degree.
         # Picking from the last cycle down keeps the order of the
         # skip-first recursion.
-        for k in reversed(range(i, len(cycles))):
-            cyc = cycles[k]
+        for k in reversed(range(len(fits))):
+            cyc = fits[k]
             j = 1
             while True:
                 nxt = tuple(r - j * m for r, m in zip(remaining, cyc.mdeg))
                 if any(r < 0 for r in nxt):
                     break
                 chosen.append((j, cyc))
-                yield from descend(k + 1, nxt)
+                yield from descend(fits[k + 1 :], nxt)
                 chosen.pop()
                 j += 1
 
-    yield from descend(0, goal)
+    yield from descend(cycles, goal)

@@ -14,7 +14,16 @@ function in characteristic zero.
 
 The builder T(t, r) stacks t horizontal x-arrows over r vertical (y, z)
 arrow pairs; bpf(T(t, r)) coincides with sigma_{t,r} on matrices of size
-n = t + 2r.  decompose() recovers that sigma-polynomial combinatorially:
+n = t + 2r.  On T(t, r) the restricted form is computed in polynomial
+time from the determinant-pfaffian identity
+
+    bpf(T(t, r)) = (-1)^(t(t-1)/2) [lambda^r] Pf [[lambda (Y - Y^T), X],
+                                                  [-X^T, Z - Z^T]],
+
+evaluating the Pfaffian by skew Gaussian elimination at n // 2 + 1
+values of lambda.  Every other tableau (multilinear labels, column
+permutations of T(t, r)) and the "full" and "Q" forms keep the sum over
+S_n x S_n.  decompose() recovers that sigma-polynomial combinatorially:
 closed paths of T with its column-2 rows permuted by xi split into
 transpose pairs whose words, when all primitive, contribute
 sign(xi) * prod s_{j_i}(word_i), deduplicated over xi.
@@ -28,10 +37,11 @@ pin them against each other.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .matrices import ExactMatrix, as_element
+from .matrices import ExactMatrix, Fp, as_element
 from .ring import SigmaGen, SigmaPoly, _mono_sorted
 from .words import Letter, Word, canonicalize
 
@@ -154,8 +164,21 @@ def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
         if mats[lab].n != n:
             raise ValueError("matrix size must equal the number of rows")
     # A tableau without arrows (n = 0) evaluates to the empty product 1.
-    field = next((m.field for m in mats.values()), "Q")
+    fields = {m.field for m in mats.values()} or {"Q"}
+    if len(fields) > 1:
+        raise ValueError("matrices must share one field")
+    (field,) = fields
+    if form == "restricted":
+        t = sum(1 for a in T.arrows if a.label == 1)
+        r = sum(1 for a in T.arrows if a.label == 2)
+        if T.arrows == build_T(t, r).arrows:
+            return as_element(_bpf_pfaffian(t, r, mats), field)
+    return _bpf_permutation_sum(T, mats, form, field)
 
+
+def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, field):
+    """bpf as the double sum over S_n x S_n; O((n!)^2 n) field operations."""
+    n = T.n
     groups: dict[tuple[int, int], list[int]] = {}
     for a in T.arrows:
         groups.setdefault((a.label, a.tail[0]), []).append(a.tail[1])
@@ -188,6 +211,78 @@ def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
             total = total + term
     if form == "Q":
         total = total * (as_element(1, field) / as_element(divisor, field))
+    return total
+
+
+def _bpf_pfaffian(t: int, r: int, mats: dict[int, ExactMatrix]) -> Fraction:
+    """bpf(T(t, r)) over Q as (-1)^(t(t-1)/2) [lambda^r] Pf(M(lambda)),
+
+        M(lambda) = [[lambda (Y - Y^T), X], [-X^T, Z - Z^T]],
+
+    at n = t + 2r.  A perfect matching of the 2n indices has as many pairs
+    inside the top block as inside the bottom one, so the lambda^r part
+    is the matchings with r pairs in each diagonal block and t across.
+    Pf(M(lambda)) has degree <= n/2 in lambda; it is interpolated from
+    lambda = 0, ..., n // 2.  F_p entries are lifted to their integer
+    representatives: both sides are integer polynomials in the entries.
+    """
+    n = t + 2 * r
+
+    def lift(label: int, used: int) -> list[list]:
+        # a label without arrows is not validated and does not contribute
+        if not used:
+            return [[0] * n for _ in range(n)]
+        return [[v.v if isinstance(v, Fp) else v for v in row] for row in mats[label].rows]
+
+    x, y, z = lift(1, t), lift(2, r), lift(3, r)
+    skew_y = [[y[i][j] - y[j][i] for j in range(n)] for i in range(n)]
+    bottom = [
+        [-x[j][i] for j in range(n)] + [z[i][j] - z[j][i] for j in range(n)] for i in range(n)
+    ]
+    values = [
+        _pfaffian([[lam * v for v in sy] + xr for sy, xr in zip(skew_y, x)] + bottom)
+        for lam in range(n // 2 + 1)
+    ]
+    return (-1) ** (t * (t - 1) // 2) * _coefficient(values, r)
+
+
+def _pfaffian(m: list[list]) -> Fraction:
+    """Pfaffian of a skew-symmetric matrix over Q by skew Gaussian
+    elimination: Pf [[B, C], [-C^T, D]] = Pf(B) Pf(D + C^T B^-1 C) with B
+    the leading 2 x 2 block, whose entry a = m[0][1] is made nonzero by
+    swapping an index into position 1 (each swap flips the sign)."""
+    a = [[Fraction(v) for v in row] for row in m]
+    pf = Fraction(1)
+    while a:
+        piv = next((j for j in range(1, len(a)) if a[0][j]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != 1:
+            a[1], a[piv] = a[piv], a[1]
+            for row in a:
+                row[1], row[piv] = row[piv], row[1]
+            pf = -pf
+        pivot = a[0][1]
+        pf *= pivot
+        q0, q1 = a[0][2:], a[1][2:]
+        a = [
+            [v + (q1[i] * q0[j] - q0[i] * q1[j]) / pivot for j, v in enumerate(row[2:])]
+            for i, row in enumerate(a[2:])
+        ]
+    return pf
+
+
+def _coefficient(values: list[Fraction], k: int) -> Fraction:
+    """[lambda^k] of the polynomial of degree < len(values) that takes
+    values[i] at lambda = i (Lagrange interpolation)."""
+    total = Fraction(0)
+    for i, v in enumerate(values):
+        basis = [Fraction(1)]  # prod over j != i of (lambda - j) / (i - j)
+        for j in range(len(values)):
+            if j != i:
+                shifted = [Fraction(0)] + basis
+                basis = [(hi - j * lo) / (i - j) for hi, lo in zip(shifted, basis + [0])]
+        total += v * basis[k]
     return total
 
 

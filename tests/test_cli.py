@@ -140,6 +140,25 @@ def test_relations_rejects_bad_sizes(capsys, extra):
     assert out == "" and "expected an integer" in err
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--max-deg", "-1"),
+    ("--max-word-len", "-1"),
+    ("--max-word-len", "0"),
+])
+def test_relations_rejects_bad_budgets(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "-n", "1", "-d", "1", option, value, "--verify", "randomized"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "expected an integer" in err
+
+
+def test_relations_zero_degree_budget_is_accepted(capsys):
+    code, out, _ = run(capsys, "relations", "-n", "1", "-d", "1",
+                       "--max-deg", "0", "--verify", "randomized")
+    assert code == 0 and "0 relations, 0 falsified" in out
+
+
 def test_relations_limit_zero_lists_all(capsys):
     code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1",
                        "--max-deg", "3", "--limit", "0")

@@ -1,13 +1,16 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from sigmaring import tableau
 from sigmaring.matrices import EvalContext, random_matrix
 from sigmaring.ring import poly_text
 from sigmaring.sigmatr import sigma_lin, sigma_tr
 from sigmaring.tableau import (
     Arrow,
     Tableau,
+    _bpf_permutation_sum,
     _perm_sign,
     bpf,
     build_T,
@@ -76,6 +79,74 @@ def test_bpf_validation():
         bpf(T, {1: random_matrix(3, 1)})  # labels 2, 3 missing
     with pytest.raises(ValueError):
         bpf(T, {k: random_matrix(2, k) for k in (1, 2, 3)})  # wrong size
+    for fields in (("Q", 5, 5), (5, 7, 5)):
+        with pytest.raises(ValueError):
+            bpf(T, {k: random_matrix(3, k, field=f) for k, f in zip((1, 2, 3), fields)})
+
+
+def seeded_mats(n, seed, field):
+    """Matrices for labels 1, 2, 3; over Q with non-integral entries (the
+    label-k matrix is scaled by 1/(k+1)), over F_p with the same integers."""
+    if field == "Q":
+        return {k: random_matrix(n, seed + k).scale(Fraction(1, k + 1)) for k in (1, 2, 3)}
+    return {k: random_matrix(n, seed + k, field=field) for k in (1, 2, 3)}
+
+
+SMALL_SHAPES = [(n - 2 * r, r) for n in range(6) for r in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("field", ["Q", 3, 5, 7])
+@pytest.mark.parametrize("t,r", SMALL_SHAPES)
+def test_bpf_pfaffian_matches_permutation_sum(t, r, field):
+    T = build_T(t, r)
+    for seed in (110, 120):
+        mats = seeded_mats(T.n, seed, field)
+        want = _bpf_permutation_sum(T, mats, "restricted", field)
+        assert bpf(T, mats) == want
+
+
+def test_bpf_pfaffian_matches_permutation_sum_n6():
+    T = build_T(2, 2)
+    mats = seeded_mats(6, 130, "Q")
+    assert bpf(T, mats) == _bpf_permutation_sum(T, mats, "restricted", "Q")
+
+
+@pytest.mark.parametrize("t,r,field", [(3, 2, "Q"), (1, 3, 5)])
+def test_bpf_pfaffian_matches_sigma_tr_n7(t, r, field):
+    mats = seeded_mats(7, 140, field)
+    want = EvalContext(mats).eval_poly(sigma_tr(t, r))
+    got = bpf(build_T(t, r), mats)
+    assert got == want and type(got) is type(want)
+
+
+def _must_not_run(*args):
+    raise AssertionError("bpf took the wrong path")
+
+
+def test_bpf_routes_T_to_pfaffian(monkeypatch):
+    T = build_T(2, 1)
+    mats = seeded_mats(4, 150, 7)
+    want = _bpf_permutation_sum(T, mats, "restricted", 7)
+    monkeypatch.setattr(tableau, "_bpf_permutation_sum", _must_not_run)
+    assert bpf(T, mats) == want
+    assert bpf(build_T(0, 0), {}) == 1
+
+
+def test_bpf_other_tableaux_keep_permutation_sum(monkeypatch):
+    T = build_T(2, 1)
+    mats = seeded_mats(4, 160, "Q")
+    Tm = build_T(2, 1, multilinear=True)
+    mats_m = {k: random_matrix(4, 160 + k) for k in Tm.labels()}
+    images = [T.apply_tau(tau) for tau in list(permutations(range(1, 5)))[1:]]
+    want_m = _bpf_permutation_sum(Tm, mats_m, "restricted", "Q")
+    want_images = [_bpf_permutation_sum(Ti, mats, "restricted", "Q") for Ti in images]
+    want_forms = [_bpf_permutation_sum(T, mats, form, "Q") for form in ("full", "Q")]
+    assert any(w != bpf(T, mats) for w in want_images)
+
+    monkeypatch.setattr(tableau, "_bpf_pfaffian", _must_not_run)
+    assert bpf(Tm, mats_m) == want_m
+    assert [bpf(Ti, mats) for Ti in images] == want_images
+    assert [bpf(T, mats, form=form) for form in ("full", "Q")] == want_forms
 
 
 def test_closed_paths_of_fragment():
