@@ -8,6 +8,14 @@ families within degree budgets, verifies vanishing either on seeded random
 matrices or exactly on generic matrix entries, and serializes replayable
 certificates.
 
+The x, y and z blocks of an o-generator are multisets of (degree, word)
+slots.  Each o_relation_generators call enumerates them once, within the
+whole budget, and serves every block from that list: a smaller budget
+takes the multisets whose weight fits, in the same order, and the z block
+takes only those whose degree sum is r.  The polynomial of each generator
+substitutes its single-word arguments into the cached sigma_{tbar,rbar,sbar}
+at word level (ring.substitute), so generation costs about what it emits.
+
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
 bit-for-bit from its seed alone.  Since the trial matrices depend only on
@@ -107,24 +115,30 @@ def o_relation_generators(
     slots = [(deg, w) for deg in range(1, max_total_degree + 1) for w in words]
     slots.sort(key=lambda s: (s[0], len(s[1]), s[1].key()))
 
-    for xs in _slot_multisets(slots, max_total_degree):
-        t = sum(deg for deg, _ in xs)
-        x_weight = sum(deg * len(w) for deg, w in xs)
-        for ys in _slot_multisets(slots, max_total_degree - x_weight):
-            r = sum(deg for deg, _ in ys)
+    # One enumeration serves all three blocks.  Weight only grows along the
+    # DFS, so the multisets within a smaller budget are, in the same order,
+    # those of the full enumeration whose weight fits; the z block is further
+    # split by degree sum, since its sum must equal r.
+    within: list[list[tuple]] = [[] for _ in range(max_total_degree + 1)]
+    z_within: dict[tuple[int, int], list[tuple]] = {}
+    for ms in _slot_multisets(slots, max_total_degree):
+        degs = tuple(deg for deg, _ in ms)
+        weight = sum(deg * len(w) for deg, w in ms)
+        args = [LinComb.of(w) for _, w in ms]
+        texts = tuple(word_text(w, naming)[1:-1] for _, w in ms)
+        block = (degs, sum(degs), weight, args, texts)
+        for b in range(weight, max_total_degree + 1):
+            within[b].append(block)
+            z_within.setdefault((sum(degs), b), []).append(block)
+
+    for ts, t, x_weight, x_args, x_texts in within[max_total_degree]:
+        for rs, r, y_weight, y_args, y_texts in within[max_total_degree - x_weight]:
             if t + 2 * r <= n:
                 continue  # only the overflow shapes vanish
-            y_weight = sum(deg * len(w) for deg, w in ys)
-            for zs in _slot_multisets(slots, max_total_degree - x_weight - y_weight):
-                if sum(deg for deg, _ in zs) != r:
-                    continue
-                ts = tuple(deg for deg, _ in xs)
-                rs = tuple(deg for deg, _ in ys)
-                ss = tuple(deg for deg, _ in zs)
-                args = [LinComb.of(w) for _, w in xs + ys + zs]
-                poly = sigma_partial_subst(ts, rs, ss, args)
-                texts = tuple(word_text(w, naming)[1:-1] for _, w in xs + ys + zs)
-                yield Relation("o", n, d, ts, rs, ss, texts, poly)
+            budget = max_total_degree - x_weight - y_weight
+            for ss, _, _, z_args, z_texts in z_within.get((r, budget), ()):
+                poly = sigma_partial_subst(ts, rs, ss, x_args + y_args + z_args)
+                yield Relation("o", n, d, ts, rs, ss, x_texts + y_texts + z_texts, poly)
 
 
 def gl_relation_generators(
@@ -344,7 +358,7 @@ def write_certificates(certs: list[dict], path: str) -> None:
 
 def _check_certificate(cert) -> None:
     """Raises ValueError unless cert has the JSON types that
-    rebuild_relation and replay_certificate read."""
+    rebuild_relation and replay_certificate read, with n, d >= 1."""
 
     def ints(v):
         return isinstance(v, list) and all(type(x) is int for x in v)
@@ -353,7 +367,7 @@ def _check_certificate(cert) -> None:
     if not (
         isinstance(shape, dict)
         and all(ints(shape.get(k)) for k in "trs")
-        and all(type(cert.get(k)) is int for k in ("n", "d"))
+        and all(type(cert.get(k)) is int and cert[k] >= 1 for k in ("n", "d"))
         and isinstance(cert.get("words"), list)
         and all(isinstance(w, str) for w in cert["words"])
         and (

@@ -10,6 +10,17 @@ ring applies, in order: expansion of s_t over sums (the signed sum over
 pairwise distinct primitive cycles in the summands), extraction of scalar
 coefficients as t-th powers, reduction of s_t(w^e) through the power
 formula, and canonicalization of every cycle under rotation and transpose.
+
+Substitution replaces letters by linear combinations of words.  When every
+value is a single word with coefficient 1, as for every relation generator
+and every certificate replay, the image of s_t(cycle) is s_t of one word:
+the letters of the assigned words (transposed and reversed for a transposed
+letter) are concatenated, and s_t of that word is memoized for the process,
+as one generator when the word is primitive and as its power_reduce
+polynomial otherwise.  Such substitutions build no LinComb, and an image
+that is one generator joins the monomial as is: only polynomial images are
+multiplied out.  Any other assignment normalizes the LinComb image of each
+generator and multiplies it out.
 """
 
 from __future__ import annotations
@@ -71,11 +82,19 @@ def _add_into(acc: dict[Monomial, Fraction], p: "SigmaPoly") -> None:
     """acc += p in place.  A monomial that cancels is dropped, so a sum
     accumulated here keeps the monomial order of a chain of `+`."""
     for m, c in p.monomials.items():
-        c += acc.get(m, 0)
-        if c:
-            acc[m] = c
-        else:
-            acc.pop(m, None)
+        _add_term(acc, m, c)
+
+
+def _add_term(acc: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+    old = acc.get(m)
+    if old is None:
+        acc[m] = c
+        return
+    c += old
+    if c:
+        acc[m] = c
+    else:
+        del acc[m]
 
 
 class SigmaPoly:
@@ -90,6 +109,14 @@ class SigmaPoly:
             if c:
                 clean[_mono_sorted(m)] = c
         object.__setattr__(self, "monomials", clean)
+
+    @classmethod
+    def _of_clean(cls, monomials: dict[Monomial, Fraction]) -> "SigmaPoly":
+        """Wraps a dict that is already clean: sorted monomials and nonzero
+        Fraction coefficients.  The dict is taken over, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "monomials", monomials)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("SigmaPoly is immutable")
@@ -122,7 +149,7 @@ class SigmaPoly:
     def __add__(self, other: "SigmaPoly") -> "SigmaPoly":
         out = dict(self.monomials)
         _add_into(out, other)
-        return SigmaPoly(out)
+        return SigmaPoly._of_clean(out)
 
     def __sub__(self, other: "SigmaPoly") -> "SigmaPoly":
         return self + (-1) * other
@@ -132,15 +159,17 @@ class SigmaPoly:
 
     def __rmul__(self, scalar) -> "SigmaPoly":
         s = Fraction(scalar)
-        return SigmaPoly({m: s * c for m, c in self.monomials.items()})
+        if not s:
+            return SigmaPoly()
+        return SigmaPoly._of_clean({m: s * c for m, c in self.monomials.items()})
 
     def __mul__(self, other: "SigmaPoly") -> "SigmaPoly":
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.monomials.items():
             for m2, c2 in other.monomials.items():
                 m = _mono_sorted(m1 + m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return SigmaPoly(out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return SigmaPoly._of_clean({m: c for m, c in out.items() if c})
 
     def __pow__(self, k: int) -> "SigmaPoly":
         if k < 0:
@@ -217,7 +246,7 @@ def _alternating_sum(terms: list[SigmaPoly]) -> SigmaPoly:
     acc: dict[Monomial, Fraction] = {}
     for i, term in enumerate(terms):
         _add_into(acc, -term if i % 2 else term)
-    return SigmaPoly(acc)
+    return SigmaPoly._of_clean(acc)
 
 
 def power_reduce(t: int, l: int) -> SigmaPoly:
@@ -307,7 +336,7 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
                 j += 1
 
     descend(0, t, [])
-    return SigmaPoly(total)
+    return SigmaPoly._of_clean(total)
 
 
 _normalize_memo: dict[tuple[int, LinComb], SigmaPoly] = {}
@@ -348,24 +377,74 @@ def _word_image(w: Word, assignment: dict[int, LinComb]) -> LinComb:
     return out
 
 
+def _assigned_words(assignment: dict[int, LinComb]) -> dict[Letter, tuple[Letter, ...]] | None:
+    """Letter -> letters of its image word when every value is a single
+    word with coefficient 1; a transposed letter gets the transposed word.
+    None for any other assignment."""
+    words: dict[Letter, tuple[Letter, ...]] = {}
+    for i, lc in assignment.items():
+        if len(lc.terms) != 1:
+            return None
+        ((w, c),) = lc.terms.items()
+        if c != 1:
+            return None
+        words[Letter(i)] = w.letters
+        words[Letter(i, True)] = w.T.letters
+    return words
+
+
+# (t, letters of a word) -> s_t of the word: the one generator s_t(root) when
+# the word is primitive, else its power_reduce polynomial.  Shared by every
+# substitute call of the process, like _normalize_memo.
+_word_sigma_memo: dict[tuple[int, tuple[Letter, ...]], SigmaGen | SigmaPoly] = {}
+
+
+def _word_sigma(t: int, letters: tuple[Letter, ...]) -> SigmaGen | SigmaPoly:
+    key = (t, letters)
+    hit = _word_sigma_memo.get(key)
+    if hit is None:
+        w = Word(letters)
+        root, e = canonicalize(w)
+        hit = SigmaGen(t, root) if e == 1 else sigma_of_word(t, w)
+        _word_sigma_memo[key] = hit
+    return hit
+
+
 def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
     """Replace every letter by a linear combination of words; transposed
     letters receive the involuted image.  Fully renormalized."""
     missing = p.indices() - set(assignment)
     if missing:
         raise ValueError(f"no assignment for letter indices {sorted(missing)}")
-    gen_cache: dict[SigmaGen, SigmaPoly] = {}
+    words = _assigned_words(assignment)
+    images: dict[SigmaGen, SigmaGen | SigmaPoly] = {}
     out: dict[Monomial, Fraction] = {}
     for m, c in p.monomials.items():
-        term = SigmaPoly.scalar(c)
+        gens: list[SigmaGen] = []
+        polys: list[SigmaPoly] = []
         for g in m:
-            img = gen_cache.get(g)
+            img = images.get(g)
             if img is None:
-                img = normalize(g.t, _word_image(g.cycle, assignment))
-                gen_cache[g] = img
+                if words is None:
+                    img = normalize(g.t, _word_image(g.cycle, assignment))
+                else:
+                    img = _word_sigma(g.t, tuple(x for lt in g.cycle for x in words[lt]))
+                images[g] = img
+            if type(img) is SigmaGen:
+                gens.append(img)
+            else:
+                polys.append(img)
+        if not polys:
+            _add_term(out, _mono_sorted(gens), c)
+            continue
+        # A generator factor maps monomials one to one, so multiplying the
+        # polynomial images first keeps the monomial order of the product.
+        term = SigmaPoly._of_clean({(): c})
+        for img in polys:
             term = term * img
-        _add_into(out, term)
-    return SigmaPoly(out)
+        for tm, tc in term.monomials.items():
+            _add_term(out, _mono_sorted(tm + tuple(gens)), tc)
+    return SigmaPoly._of_clean(out)
 
 
 def lin(p: SigmaPoly, d: int) -> SigmaPoly:

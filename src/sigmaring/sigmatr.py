@@ -37,8 +37,8 @@ def _signed_sum(q: Quiver, target: dict[int, int], base_exp: int) -> SigmaPoly:
     for sel in index_sets(q, target):
         xi = base_exp + sum(j * (c.deg_y + c.deg_z + 1) for j, c in sel)
         gens = tuple(sorted((SigmaGen(j, c.word) for j, c in sel), key=SigmaGen.key))
-        total[gens] = total.get(gens, Fraction(0)) + (-1) ** xi
-    return SigmaPoly(total)
+        total[gens] = total.get(gens, 0) + (-1) ** xi
+    return SigmaPoly._of_clean({m: Fraction(c) for m, c in total.items() if c})
 
 
 def sigma_partial(

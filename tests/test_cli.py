@@ -298,6 +298,8 @@ ASSIGN = {"n": 2, "field": "Q", "assign": {"x": [["1", "2"], ["3", "4"]]}}
     {"version": 1, "certificates": [{**CERT, "d": "2"}]},
     [1],
     {"version": 1, "certificates": [{**CERT, "field": "fp"}]},
+    {"version": 1, "certificates": [{**CERT, "n": 0}]},
+    {"version": 1, "certificates": [{**CERT, "n": -3}]},
 ])
 def test_malformed_certificate_file_exits_two(capsys, tmp_path, data):
     path = tmp_path / "certs.json"

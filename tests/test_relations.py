@@ -22,6 +22,7 @@ from sigmaring.relations import (
     write_certificates,
 )
 from sigmaring.sigmatr import sigma_tr
+from sigmaring.words import Naming, word_text
 
 
 def test_enumerate_words_counts():
@@ -51,6 +52,56 @@ def test_o_generators_no_duplicates():
     rels = take_o(2, 1, 4)
     seen = {(r.ts, r.rs, r.ss, r.words) for r in rels}
     assert len(seen) == len(rels)
+
+
+def triple_dfs_oracle(n, d, budget, max_word_len):
+    """(ts, rs, ss, words) of o_relation_generators as enumerated before one
+    enumeration served all three blocks: the y block re-enumerated for every
+    x block, the z block enumerated in full and filtered by its sum."""
+    naming = Naming.generic(d)
+    words = enumerate_words(d, max_word_len)
+    slots = sorted(
+        ((deg, w) for deg in range(1, budget + 1) for w in words),
+        key=lambda s: (s[0], len(s[1]), s[1].key()),
+    )
+    for xs in relations._slot_multisets(slots, budget):
+        t = sum(deg for deg, _ in xs)
+        x_weight = sum(deg * len(w) for deg, w in xs)
+        for ys in relations._slot_multisets(slots, budget - x_weight):
+            r = sum(deg for deg, _ in ys)
+            if t + 2 * r <= n:
+                continue
+            y_weight = sum(deg * len(w) for deg, w in ys)
+            for zs in relations._slot_multisets(slots, budget - x_weight - y_weight):
+                if sum(deg for deg, _ in zs) != r:
+                    continue
+                yield (
+                    tuple(deg for deg, _ in xs),
+                    tuple(deg for deg, _ in ys),
+                    tuple(deg for deg, _ in zs),
+                    tuple(word_text(w, naming)[1:-1] for _, w in xs + ys + zs),
+                )
+
+
+ENUMERATION_GRID = [
+    (n, d, budget, max_word_len)
+    for n in (1, 3)
+    for d in (1, 2)
+    for max_word_len in (1, 2, 3)
+    for budget in range(7)
+    # the triple DFS is slow beyond about 10^4 relations
+    if d == 1 or budget <= 4 or budget == 5 and max_word_len == 1
+]
+
+
+@pytest.mark.parametrize("n,d,budget,max_word_len", ENUMERATION_GRID)
+def test_o_generators_enumerate_like_triple_dfs(monkeypatch, n, d, budget, max_word_len):
+    monkeypatch.setattr(relations, "sigma_partial_subst", lambda *args: None)
+    got = [
+        (rel.ts, rel.rs, rel.ss, rel.words)
+        for rel in o_relation_generators(n, d, budget, max_word_len)
+    ]
+    assert got == list(triple_dfs_oracle(n, d, budget, max_word_len))
 
 
 def test_o_generators_vanish_randomized():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sigmaring import ring
 from sigmaring.matrices import EvalContext, random_matrix
+from sigmaring.relations import o_relation_generators
 from sigmaring.ring import (
     SigmaGen,
     SigmaPoly,
@@ -26,7 +27,8 @@ from sigmaring.ring import (
     sigma_of_word,
     substitute,
 )
-from sigmaring.words import Letter, LinComb, Naming, Word, parse_word
+from sigmaring.sigmatr import sigma_partial
+from sigmaring.words import Letter, LinComb, Naming, Word, is_primitive, parse_word
 
 A_ = Naming.single("a")
 XYZ = Naming.xyz(1, 1, 1)
@@ -283,6 +285,89 @@ def test_substitute_respects_transpose():
         p, {1: LinComb.of(W((1, False), (2, False))), 2: LinComb.of(W((2, False)))}
     )
     assert q == sigma_of_word(1, W((1, False), (2, False), (2, True)))
+
+
+def general_substitute_oracle(p, assignment):
+    """substitute as it was before word-level images: every generator image
+    is normalized from its LinComb image and multiplied in as a polynomial."""
+    missing = p.indices() - set(assignment)
+    if missing:
+        raise ValueError(f"no assignment for letter indices {sorted(missing)}")
+    gen_cache = {}
+    out = {}
+    for m, c in p.monomials.items():
+        term = SigmaPoly.scalar(c)
+        for g in m:
+            img = gen_cache.get(g)
+            if img is None:
+                arg = None
+                for lt in g.cycle:
+                    a = assignment[lt.index].T if lt.transposed else assignment[lt.index]
+                    arg = a if arg is None else arg * a
+                img = gen_cache[g] = normalize(g.t, arg)
+            term = term * img
+        for tm, tc in term.monomials.items():
+            tc += out.get(tm, 0)
+            if tc:
+                out[tm] = tc
+            else:
+                out.pop(tm, None)
+    return SigmaPoly(out)
+
+
+@pytest.mark.parametrize(
+    "n,d,budget,max_word_len", [(3, 2, 4, 2), (2, 2, 4, 2), (1, 2, 3, 2), (2, 1, 4, 3)]
+)
+def test_substitute_matches_general_oracle_on_relations(n, d, budget, max_word_len):
+    naming = Naming.generic(d)
+    powers = 0
+    for rel in o_relation_generators(n, d, budget, max_word_len):
+        words = [parse_word(f"[{w}]", naming) for w in rel.words]
+        assignment = {i + 1: LinComb.of(w) for i, w in enumerate(words)}
+        base = sigma_partial(rel.ts, rel.rs, rel.ss)
+        want = general_substitute_oracle(base, assignment)
+        assert list(rel.poly.monomials.items()) == list(want.monomials.items()), rel.describe()
+        images = {ring._word_image(g.cycle, assignment) for m in base.monomials for g in m}
+        powers += sum(not is_primitive(next(iter(img.terms))) for img in images)
+    assert powers > 0  # images such as [x1 x1] take the power_reduce branch
+
+
+SMALL_SHAPES = [
+    ((1,), (1,), (1,)),
+    ((2,), (1,), (1,)),
+    ((1, 1), (1,), (1,)),
+    ((1,), (2,), (1, 1)),
+    ((1,), (1, 1), (2,)),
+    ((3,), (), ()),
+    ((), (2,), (2,)),
+]
+
+small_words = st.builds(
+    lambda base, k: Word(base * k),
+    st.lists(st.builds(Letter, st.integers(1, 2), st.booleans()), min_size=1, max_size=2),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SMALL_SHAPES),
+    st.lists(small_words, min_size=4, max_size=4),
+    st.lists(st.sampled_from([1, -1, 2, Fraction(1, 3)]), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_substitute_matches_general_oracle(shape, words, coeffs, unit):
+    """Single words with coefficient 1 (proper powers and transposed letters
+    included) take the word-level images; other coefficients normalize."""
+    ts, rs, ss = shape
+    base = sigma_partial(ts, rs, ss)
+    assignment = {
+        i + 1: LinComb.of(words[i], 1 if unit else coeffs[i])
+        for i in range(len(ts) + len(rs) + len(ss))
+    }
+    got = substitute(base, assignment)
+    want = general_substitute_oracle(base, assignment)
+    assert list(got.monomials.items()) == list(want.monomials.items())
 
 
 sigma_polys = st.lists(
