@@ -15,6 +15,11 @@ canonical primitive representative per class together with its multidegree
 and its counts of untransposed y and z letters (the transpose-parity of
 deg_y + deg_z is class-invariant because closed paths cross between the two
 vertices an even number of times).
+
+The cost follows the output: closed_cycles walks only prefixes that can
+still end in a canonical word and builds a Word only for a cycle it returns;
+index_sets packs each multidegree into one int with a guard bit per
+component, so whether a cycle fits is one subtraction and one mask.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .words import Letter, Word, canonicalize
+from .words import Letter, Word, least_rotation, transpose_letters
 
 
 @dataclass(frozen=True)
@@ -90,48 +95,66 @@ class Quiver:
     def closed_cycles(self, budget: dict[int, int]) -> list[QuiverCycle]:
         """Canonical primitive closed-path classes with mdeg <= budget.
 
-        Walking from vertex 1 alone is complete: any class with a letter
-        y/z has a rotation based at 1, and pure-x' classes equal pure-x
-        classes under transpose.
+        A canonical word starts with its least letter, an untransposed x or
+        y, so it is a closed walk from vertex 1; the walk below records
+        exactly the canonical ones.  It extends only prenecklaces (prefixes
+        of words no larger than their rotations; Cattell et al., "Fast
+        algorithms to generate necklaces, unlabeled necklaces and
+        irreducible polynomials over GF(2)", J. Algorithms 2000): a letter
+        below path[len - period] makes every extension larger than one of
+        its rotations.  A prenecklace is strictly smaller than its
+        nontrivial rotations, so a Lyndon word and hence primitive, exactly
+        when period == len; it is canonical when in addition no rotation of
+        its transpose is smaller.
         """
-        budget = {i: budget.get(i, 0) for i in range(1, self.d + 1)}
-        if any(b < 0 for b in budget.values()):
+        budget = [0] + [budget.get(i, 0) for i in range(1, self.d + 1)]
+        if any(b < 0 for b in budget):
             raise ValueError("negative degree budget")
-        seen: set[tuple] = set()
+        full = list(budget)
+        steps = {at: self.steps_from(at) for at in (1, 2)}
         found: list[QuiverCycle] = []
         path: list[Letter] = []
 
         def record():
-            w = Word(path)
-            root, power = canonicalize(w)
-            if power != 1 or root.key() in seen:
+            seq = tuple(path)
+            if seq > least_rotation(transpose_letters(seq)):
                 return
-            seen.add(root.key())
-            md = [0] * self.d
             deg_y = deg_z = 0
-            for lt in root:
-                md[lt.index - 1] += 1
+            for lt in seq:
                 if not lt.transposed:
                     k = self.kind(lt.index)
                     if k == "y":
                         deg_y += 1
                     elif k == "z":
                         deg_z += 1
-            found.append(QuiverCycle(root, tuple(md), deg_y, deg_z))
+            mdeg = tuple(f - b for f, b in zip(full[1:], budget[1:]))
+            found.append(QuiverCycle(Word(seq), mdeg, deg_y, deg_z))
 
-        def walk(at: int):
-            if at == 1 and path:
+        def walk(at: int, period: int):
+            # path is a prenecklace; period is the length of its longest
+            # Lyndon prefix
+            n = len(path)
+            if n and at == 1 and period == n:
                 record()
-            for lt, nxt in self.steps_from(at):
+            for lt, nxt in steps[at]:
                 if budget[lt.index] == 0:
                     continue
+                if n:
+                    ref = path[n - period]
+                    if lt < ref:
+                        continue
+                    grown = period if lt == ref else n + 1
+                elif lt.transposed:
+                    continue  # larger than its own transpose
+                else:
+                    grown = 1
                 budget[lt.index] -= 1
                 path.append(lt)
-                walk(nxt)
+                walk(nxt, grown)
                 path.pop()
                 budget[lt.index] += 1
 
-        walk(1)
+        walk(1, 0)
         found.sort(key=QuiverCycle.key)
         return found
 
@@ -149,31 +172,45 @@ def index_sets(q: Quiver, target: dict[int, int]) -> Iterator[tuple[IndexPair, .
     if any(g < 0 for g in goal):
         raise ValueError("negative target multidegree")
     cycles = q.closed_cycles({i + 1: g for i, g in enumerate(goal)})
+    # Multidegrees packed into one int: component i gets a field of
+    # goal[i].bit_length() bits under one guard bit.  Every component is at
+    # most its goal, so (rem | guard) - m borrows inside no field, and m
+    # fits rem exactly when every guard bit survives; rem - m is then the
+    # packed difference.
+    shifts, shift = [], 0
+    for g in goal:
+        shifts.append(shift)
+        shift += g.bit_length() + 1
+    guard = sum(1 << (s + g.bit_length()) for s, g in zip(shifts, goal))
+
+    def pack(degrees: tuple[int, ...]) -> int:
+        return sum(k << s for k, s in zip(degrees, shifts))
+
     chosen: list[IndexPair] = []
 
     def descend(
-        cands: list[QuiverCycle], remaining: tuple[int, ...]
+        cands: list[tuple[int, QuiverCycle]], rem: int
     ) -> Iterator[tuple[IndexPair, ...]]:
-        if not any(remaining):
+        if not rem:
             yield tuple(chosen)
             return  # further cycles would only add degree
         # A cycle that does not fit the remaining degree never fits a
         # child's smaller one, so the candidates are filtered once per node.
-        fits = [c for c in cands if all(m <= r for m, r in zip(c.mdeg, remaining))]
+        top = rem | guard
+        fits = [c for c in cands if (top - c[0]) & guard == guard]
         # One frame per picked cycle, never per skipped one: a target can
         # have thousands of cycles but picks at most its total degree.
         # Picking from the last cycle down keeps the order of the
         # skip-first recursion.
         for k in reversed(range(len(fits))):
-            cyc = fits[k]
-            j = 1
-            while True:
-                nxt = tuple(r - j * m for r, m in zip(remaining, cyc.mdeg))
-                if any(r < 0 for r in nxt):
-                    break
+            m, cyc = fits[k]
+            rest = fits[k + 1 :]
+            j, nxt = 1, rem
+            while ((nxt | guard) - m) & guard == guard:
+                nxt -= m
                 chosen.append((j, cyc))
-                yield from descend(fits[k + 1 :], nxt)
+                yield from descend(rest, nxt)
                 chosen.pop()
                 j += 1
 
-    yield from descend(cycles, goal)
+    yield from descend([(pack(c.mdeg), c) for c in cycles], pack(goal))

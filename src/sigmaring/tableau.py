@@ -23,10 +23,11 @@ time from the determinant-pfaffian identity
 evaluating the Pfaffian by skew Gaussian elimination at n // 2 + 1
 values of lambda.  Every other tableau (multilinear labels, column
 permutations of T(t, r)) and the "full" and "Q" forms keep the sum over
-S_n x S_n.  decompose() recovers that sigma-polynomial combinatorially:
-closed paths of T with its column-2 rows permuted by xi split into
-transpose pairs whose words, when all primitive, contribute
-sign(xi) * prod s_{j_i}(word_i), deduplicated over xi.
+S_n x S_n, which bpf refuses beyond n = 6 unless allow_large=True.
+decompose() recovers that sigma-polynomial combinatorially: closed paths
+of T with its column-2 rows permuted by xi split into transpose pairs
+whose words, when all primitive, contribute sign(xi) * prod
+s_{j_i}(word_i), deduplicated over xi.
 
 Several independent sign computations for the same decomposition are
 provided (the literal sign(xi), a closed form per selection, a closed form
@@ -151,10 +152,17 @@ def _ordered(p: tuple[int, ...], rows: list[int]) -> bool:
     return all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
+def bpf(
+    T: Tableau,
+    mats: dict[int, ExactMatrix],
+    form: str = "restricted",
+    allow_large: bool = False,
+):
     """Evaluate the tableau function; form is "restricted", "full" or "Q"
     (full divided by the label-multiplicity factorials; needs those
-    factorials invertible in the field)."""
+    factorials invertible in the field).  Only the restricted form of
+    T(t, r) has a polynomial route; every other input sums over S_n x S_n
+    and needs allow_large=True beyond n = 6."""
     if form not in ("restricted", "full", "Q"):
         raise ValueError(f"unknown form {form!r}")
     n = T.n
@@ -173,6 +181,8 @@ def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
         r = sum(1 for a in T.arrows if a.label == 2)
         if T.arrows == build_T(t, r).arrows:
             return as_element(_bpf_pfaffian(t, r, mats), field)
+    if n > 6 and not allow_large:
+        raise ValueError("this bpf enumerates S_n x S_n; pass allow_large=True beyond n=6")
     return _bpf_permutation_sum(T, mats, form, field)
 
 

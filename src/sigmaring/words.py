@@ -70,7 +70,7 @@ class Word:
 
     @property
     def T(self) -> "Word":
-        return Word(tuple(lt.T for lt in reversed(self.letters)))
+        return Word(transpose_letters(self.letters))
 
     def rotations(self) -> Iterator["Word"]:
         n = len(self.letters)
@@ -102,18 +102,27 @@ def is_primitive(w: Word) -> bool:
     return _period(w.letters) == len(w)
 
 
+def transpose_letters(seq: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters of the transpose: reversed, each flag toggled."""
+    return tuple(Letter(lt.index, not lt.transposed) for lt in reversed(seq))
+
+
+def least_rotation(seq: tuple) -> tuple:
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
 def canonicalize(w: Word) -> tuple[Word, int]:
     """Canonical representative of the class of the primitive root of w.
 
     Returns (root, e) with w equivalent to root**e, e >= 1, and root the
-    minimum over all rotations of the root and of its transpose.
+    minimum over all rotations of the root and of its transpose, compared
+    as letter tuples.
     """
     seq = w.letters
     period = _period(seq)
-    root = Word(seq[:period])
-    candidates = list(root.rotations())
-    candidates.extend(root.T.rotations())
-    return min(candidates, key=Word.key), len(seq) // period
+    root = seq[:period]
+    best = min(least_rotation(root), least_rotation(transpose_letters(root)))
+    return Word(best), len(seq) // period
 
 
 def mdeg(w: Word, d: int) -> tuple[int, ...]:

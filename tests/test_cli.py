@@ -117,6 +117,14 @@ def test_bpf_empty_tableau_prints_one(capsys):
     assert run(capsys, "dp", "-n", "0", "-r", "0")[:2] == (0, "1\n")
 
 
+@pytest.mark.parametrize("extra", [["--multilinear"], ["--form", "full"], ["--form", "Q"]])
+def test_bpf_permutation_sum_beyond_n6_exits_two(capsys, extra):
+    # n = 7 off the Pfaffian route would sum over (7!)^2 permutation pairs
+    code, out, err = run(capsys, "bpf", "-t", "1", "-r", "3", *extra)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "allow_large" in err
+
+
 def test_cycles_negative_budget_exits_two(capsys):
     for t, r in (("-1", "0"), ("0", "-2")):
         code, out, err = run(capsys, "cycles", "-t", t, "-r", r)

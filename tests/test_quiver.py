@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -45,6 +46,67 @@ def test_closed_cycles_small_budgets():
         "[x y' z]",
         "[x y' z']",
     ]
+
+
+def seen_set_closed_cycles(q, budget):
+    """closed_cycles as every closed walk from vertex 1, canonicalized and
+    deduplicated through a seen set."""
+    budget = {i: budget.get(i, 0) for i in range(1, q.d + 1)}
+    seen = set()
+    found = []
+    path = []
+
+    def record():
+        w = Word(path)
+        root, power = canonicalize(w)
+        if power != 1 or root.key() in seen:
+            return
+        seen.add(root.key())
+        md = [0] * q.d
+        deg_y = deg_z = 0
+        for lt in root:
+            md[lt.index - 1] += 1
+            if not lt.transposed:
+                k = q.kind(lt.index)
+                if k == "y":
+                    deg_y += 1
+                elif k == "z":
+                    deg_z += 1
+        found.append(QuiverCycle(root, tuple(md), deg_y, deg_z))
+
+    def walk(at):
+        if at == 1 and path:
+            record()
+        for lt, nxt in q.steps_from(at):
+            if budget[lt.index] == 0:
+                continue
+            budget[lt.index] -= 1
+            path.append(lt)
+            walk(nxt)
+            path.pop()
+            budget[lt.index] += 1
+
+    walk(1)
+    found.sort(key=QuiverCycle.key)
+    return found
+
+
+def budgets_up_to(d, total):
+    """Every budget over letters 1..d with total degree at most `total`."""
+    for comp in itertools.product(range(total + 1), repeat=d):
+        if sum(comp) <= total:
+            yield {i + 1: k for i, k in enumerate(comp)}
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (3, 0, 0)])
+def test_closed_cycles_match_seen_set_walk(blocks):
+    q = Quiver(*blocks)
+
+    def rows(cycles):
+        return [(c.word.letters, c.mdeg, c.deg_y, c.deg_z) for c in cycles]
+
+    for budget in budgets_up_to(q.d, 7):
+        assert rows(q.closed_cycles(budget)) == rows(seen_set_closed_cycles(q, budget))
 
 
 def test_closed_cycles_rejects_negative_budget():
@@ -149,6 +211,14 @@ def skip_first_oracle(q, target):
         ((1, 1, 1), {2: 3, 3: 3}),
         ((2, 1, 1), {1: 1, 2: 2, 3: 1, 4: 1}),
         ((0, 2, 2), {1: 1, 2: 1, 3: 1, 4: 1}),
+        # one component much larger than the rest: fields of unequal width
+        ((1, 1, 1), {1: 8, 2: 1, 3: 1}),
+        # zero components between nonzero ones
+        ((1, 2, 2), {1: 1, 2: 2, 3: 0, 4: 1, 5: 1}),
+        ((2, 1, 1), {1: 2, 2: 0, 3: 2, 4: 2}),
+        # x^4 and (y z)^4 use up a component exactly, at a power of two
+        ((1, 1, 1), {1: 4, 2: 2, 3: 2}),
+        ((1, 1, 1), {2: 4, 3: 4}),
     ],
 )
 def test_index_sets_order_matches_skip_first_recursion(blocks, target):

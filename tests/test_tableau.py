@@ -132,6 +132,26 @@ def test_bpf_routes_T_to_pfaffian(monkeypatch):
     assert bpf(build_T(0, 0), {}) == 1
 
 
+def test_bpf_permutation_sum_guarded_beyond_n6(monkeypatch):
+    T = build_T(1, 3)
+    mats = seeded_mats(7, 170, "Q")
+    Tm = build_T(1, 3, multilinear=True)
+    mats_m = {k: random_matrix(7, 170 + k) for k in Tm.labels()}
+    image = T.apply_tau((2, 1, 3, 4, 5, 6, 7))
+    calls = [
+        (Tm, mats_m, "restricted"),
+        (image, mats, "restricted"),
+        (T, mats, "full"),
+        (T, mats, "Q"),
+    ]
+    for Ti, m, form in calls:
+        with pytest.raises(ValueError, match="allow_large"):
+            bpf(Ti, m, form=form)
+    monkeypatch.setattr(tableau, "_bpf_permutation_sum", lambda *args: "summed")
+    for Ti, m, form in calls:
+        assert bpf(Ti, m, form=form, allow_large=True) == "summed"
+
+
 def test_bpf_other_tableaux_keep_permutation_sum(monkeypatch):
     T = build_T(2, 1)
     mats = seeded_mats(4, 160, "Q")
