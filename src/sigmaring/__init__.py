@@ -16,7 +16,6 @@ from .words import (
     Word,
     canonicalize,
     glue,
-    involute,
     is_primitive,
     lincomb_text,
     mdeg,
@@ -32,7 +31,6 @@ from .ring import (
     multiplicity_stats,
     normalize,
     parse_poly,
-    poly_json,
     poly_json_obj,
     poly_text,
     power_reduce,
@@ -45,14 +43,12 @@ from .sigmatr import (
     sigma_partial,
     sigma_partial_subst,
     sigma_tr,
-    sigma_tr_subst,
 )
 from .matrices import (
     EvalContext,
     ExactMatrix,
     Fp,
     matrix_from_json_obj,
-    matrix_json,
     matrix_json_obj,
     random_matrix,
     random_symmetric,
@@ -66,10 +62,8 @@ from .tableau import (
     decompose,
     dp,
     path_sign_closed_form,
-    path_sign_definitional,
     path_sign_rules,
     path_word,
-    selection_sign_closed_form,
 )
 from .relations import (
     Relation,

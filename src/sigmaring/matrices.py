@@ -12,7 +12,6 @@ polynomials, caching word products and their sigma_t lists per assignment.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from fractions import Fraction
@@ -23,13 +22,43 @@ from .words import Word
 
 _checked_primes: set[int] = set()
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def _check_prime(p: int) -> int:
     if p in _checked_primes:
         return p
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is too large: primality is decided only below {_MR_LIMIT}")
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     _checked_primes.add(p)
     return p
@@ -362,7 +391,3 @@ def matrix_from_json_obj(obj: dict) -> ExactMatrix:
     if m.n != obj["n"]:
         raise ValueError("declared size does not match entries")
     return m
-
-
-def matrix_json(m: ExactMatrix) -> str:
-    return json.dumps(matrix_json_obj(m))

@@ -79,19 +79,6 @@ class Quiver:
                     out.append((lt, nxt))
         return out
 
-    def is_closed_path(self, word: Word) -> bool:
-        for start in (1, 2):
-            at = start
-            ok = True
-            for lt in word:
-                at = self.step(lt, at)
-                if at is None:
-                    ok = False
-                    break
-            if ok and at == start:
-                return True
-        return False
-
     def closed_cycles(self, budget: dict[int, int]) -> list[QuiverCycle]:
         """Canonical primitive closed-path classes with mdeg <= budget.
 

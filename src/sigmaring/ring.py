@@ -6,10 +6,11 @@ unit and is never stored.  A polynomial is a sparse map from monomials
 (sorted tuples of generators) to nonzero rational coefficients.
 
 The rewriting map from formal s_t(linear combination) expressions into this
-ring applies, in order: expansion of s_t over sums (the signed sum over
-pairwise distinct primitive cycles in the summands), extraction of scalar
-coefficients as t-th powers, reduction of s_t(w^e) through the power
-formula, and canonicalization of every cycle under rotation and transpose.
+ring applies, in order: expansion of s_t over sums (the sum of the partial
+linearizations sigma_tbar of s_t, with the summands substituted),
+extraction of scalar coefficients as t-th powers, reduction of s_t(w^e)
+through the power formula, and canonicalization of every cycle under
+rotation and transpose.
 
 Substitution replaces letters by linear combinations of words.  When every
 value is a single word with coefficient 1, as for every relation generator
@@ -26,7 +27,6 @@ generator and multiplies it out.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -36,7 +36,6 @@ from .words import (
     LinComb,
     Naming,
     Word,
-    _period,
     canonicalize,
     mdeg_map,
     parse_word,
@@ -200,10 +199,6 @@ class SigmaPoly:
                 counts[idx] = counts.get(idx, 0) + g.t * c
         return counts
 
-    def is_homogeneous(self) -> bool:
-        degs = {tuple(sorted(self.mdeg_of(m).items())) for m in self.monomials}
-        return len(degs) <= 1
-
 
 # ---------------------------------------------------------------------------
 # s_t of a single word: canonicalize, reducing powers via the power formula.
@@ -282,60 +277,33 @@ def power_reduce(t: int, l: int) -> SigmaPoly:
 # ---------------------------------------------------------------------------
 
 
-def _atom_cycles(p: int, maxdeg: int) -> list[tuple[int, ...]]:
-    """Primitive cyclic words over atoms 0..p-1 (cyclic equivalence only),
-    one minimal-rotation representative each, degree <= maxdeg."""
-    out = []
-    for length in range(1, maxdeg + 1):
-        for tup in itertools.product(range(p), repeat=length):
-            rots = [tup[i:] + tup[:i] for i in range(length)]
-            if tup == min(rots) and _period(tup) == length:
-                out.append(tup)
-    return out
-
-
 def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
-    """s_t(sum a_i w_i) expanded into the sigma-ring.
+    """s_t(sum c_i w_i) expanded into the sigma-ring.
 
-    Sums over all sets of pairwise distinct primitive cycles in the summands
-    (each summand an atomic symbol) with positive exponents j_i of total
-    weighted degree t, sign (-1)^(t - sum j_i); each cycle's coefficient is
-    the product of its summands' coefficients raised to j_i.
+    By definition of the partial linearizations (Donkin, Invent. Math. 110,
+    1992), s_t(a_1 + ... + a_p) is the sum of sigma_tbar(a_1, ..., a_p)
+    over the compositions tbar of t into p parts; sigma_tbar is the signed
+    sum over index sets of the loops x_1..x_p, and a_i = c_i w_i is
+    substituted for x_i.  Zero summands contribute nothing.
     """
+    from .sigmatr import sigma_partial  # sigmatr imports this module
+
     if t < 1:
         raise ValueError("s_0 is identically 1, not expandable")
     if not summands:
         raise ValueError("need at least one summand")
-    p = len(summands)
-    cycles = _atom_cycles(p, t)
-
+    nonzero = [(c, w) for c, w in summands if c]
+    if not nonzero:
+        return SigmaPoly.zero()
+    assignment = {i + 1: LinComb.of(w, c) for i, (c, w) in enumerate(nonzero)}
+    p = len(nonzero)
     total: dict[Monomial, Fraction] = {}
-
-    def descend(i: int, budget: int, picked: list[tuple[tuple[int, ...], int]]):
-        if budget == 0:
-            jsum = sum(j for _, j in picked)
-            term = SigmaPoly.scalar(Fraction((-1) ** (t - jsum)))
-            for cyc, j in picked:
-                coeff = Fraction(1)
-                word = None
-                for atom in cyc:
-                    coeff *= summands[atom][0]
-                    word = summands[atom][1] if word is None else word * summands[atom][1]
-                term = term * (coeff**j * sigma_of_word(j, word))
-            _add_into(total, term)
-            return
-        # One frame per picked cycle, as in quiver.index_sets; picking from
-        # the last cycle down keeps the order of the skip-first recursion.
-        for k in reversed(range(i, len(cycles))):
-            deg = len(cycles[k])
-            j = 1
-            while j * deg <= budget:
-                picked.append((cycles[k], j))
-                descend(k + 1, budget - j * deg, picked)
-                picked.pop()
-                j += 1
-
-    descend(0, t, [])
+    # A composition of t into p parts is a choice of p - 1 bars among
+    # t + p - 1 slots; part i is the gap between bars i and i + 1.
+    for bars in itertools.combinations(range(t + p - 1), p - 1):
+        edges = (-1,) + bars + (t + p - 1,)
+        tbar = tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+        _add_into(total, substitute(sigma_partial(tbar, (), (), allow_large=True), assignment))
     return SigmaPoly._of_clean(total)
 
 
@@ -582,7 +550,3 @@ def poly_from_json_obj(obj: dict, naming: Naming) -> SigmaPoly:
         mono = _mono_sorted(gens)
         out[mono] = out.get(mono, Fraction(0)) + Fraction(term["coeff"])
     return SigmaPoly(out)
-
-
-def poly_json(p: SigmaPoly, naming: Naming) -> str:
-    return json.dumps(poly_json_obj(p, naming))

@@ -83,11 +83,6 @@ def sigma_lin(u: int, v: int, allow_large: bool = False) -> SigmaPoly:
     return sigma_partial((1,) * u, (1,) * v, (1,) * v, allow_large=allow_large)
 
 
-def sigma_tr_subst(t: int, r: int, x: LinComb, y: LinComb, z: LinComb) -> SigmaPoly:
-    """sigma_{t,r} with the three letters replaced by word combinations."""
-    return substitute(sigma_tr(t, r), {1: x, 2: y, 3: z})
-
-
 def sigma_partial_subst(
     ts: tuple[int, ...],
     rs: tuple[int, ...],

@@ -27,13 +27,8 @@ S_n x S_n, which bpf refuses beyond n = 6 unless allow_large=True.
 decompose() recovers that sigma-polynomial combinatorially: closed paths
 of T with its column-2 rows permuted by xi split into transpose pairs
 whose words, when all primitive, contribute sign(xi) * prod
-s_{j_i}(word_i), deduplicated over xi.
-
-Several independent sign computations for the same decomposition are
-provided (the literal sign(xi), a closed form per selection, a closed form
-per path, a rewriting recursion per path, and the definitional search for
-the column permutation realigning a path with the original tableau); tests
-pin them against each other.
+s_{j_i}(word_i), deduplicated over xi.  The sign of a path is also given
+by a closed form and by a rewriting recursion on its word.
 """
 
 from __future__ import annotations
@@ -383,7 +378,7 @@ def decompose(T: Tableau, allow_large: bool = False) -> SigmaPoly:
 
 
 # ---------------------------------------------------------------------------
-# Independent sign computations for one decomposition.
+# Two independent sign computations for one closed path.
 # ---------------------------------------------------------------------------
 
 
@@ -391,18 +386,6 @@ def _kind(T: Tableau, lt: Letter) -> str:
     if not T.kinds:
         raise ValueError("tableau carries no label kinds")
     return T.kinds[lt.index]
-
-
-def selection_sign_closed_form(T: Tableau, selection: list[tuple[int, Word]]) -> int:
-    """(-1) ** (t + sum j * (deg_y + deg_z + 1)) with t the number of
-    x-kind arrows and deg_y, deg_z counting untransposed letters."""
-    t = sum(1 for a in T.arrows if T.kinds[a.label] == "x")
-    e = t
-    for j, word in selection:
-        dy = sum(1 for lt in word if not lt.transposed and _kind(T, lt) == "y")
-        dz = sum(1 for lt in word if not lt.transposed and _kind(T, lt) == "z")
-        e += j * (dy + dz + 1)
-    return (-1) ** e
 
 
 def path_sign_closed_form(T: Tableau, word: Word) -> int:
@@ -453,55 +436,3 @@ def path_sign_rules(T: Tableau, word: Word) -> int:
             rest = [letters[j] for j in range(k) if j not in (i, (i + 1) % k)]
             return s * path_sign_rules(T, Word(rest))
     return path_sign_rules(T, word.T)
-
-
-def path_sign_definitional(T: Tableau, Ti: Tableau, path: list[Element]) -> int:
-    """Sign of the column permutation that realigns the path with T.
-
-    The path lives in Ti (T with permuted column-2 rows); tau ranges over
-    permutations of the column-2 rows the path touches, fixing everything
-    else, and must move every path element onto an element of T with the
-    same label and transpose status in exactly the same cells.  All valid
-    tau share one parity, which is returned.
-    """
-    rows = sorted(
-        {
-            r
-            for e in path
-            for (c, r) in (Ti.tail_of(e), Ti.head_of(e))
-            if c == 2
-        }
-    )
-    targets = set()
-    for a in T.arrows:
-        targets.add((a.label, False, a.tail, a.head))
-        targets.add((a.label, True, a.head, a.tail))
-
-    signs = set()
-    for image in permutations(rows):
-        tau = dict(zip(rows, image))
-
-        def move(cell: Cell) -> Cell:
-            c, r = cell
-            return (c, tau[r]) if c == 2 else cell
-
-        if all(
-            (
-                Ti.arrows[e.arrow].label,
-                e.transposed,
-                move(Ti.tail_of(e)),
-                move(Ti.head_of(e)),
-            )
-            in targets
-            for e in path
-        ):
-            inv = sum(
-                1
-                for i in range(len(rows))
-                for j in range(i + 1, len(rows))
-                if tau[rows[i]] > tau[rows[j]]
-            )
-            signs.add(-1 if inv % 2 else 1)
-    if len(signs) != 1:
-        raise ValueError(f"realigning permutations give signs {sorted(signs)}")
-    return signs.pop()

@@ -72,22 +72,8 @@ class Word:
     def T(self) -> "Word":
         return Word(transpose_letters(self.letters))
 
-    def rotations(self) -> Iterator["Word"]:
-        n = len(self.letters)
-        for i in range(n):
-            yield Word(self.letters[i:] + self.letters[:i])
-
     def indices(self) -> set[int]:
         return {lt.index for lt in self.letters}
-
-    def count(self, index: int, transposed: bool | None = None) -> int:
-        if transposed is None:
-            return sum(1 for lt in self.letters if lt.index == index)
-        return sum(
-            1
-            for lt in self.letters
-            if lt.index == index and lt.transposed == transposed
-        )
 
 
 def _period(seq: tuple) -> int:
@@ -217,10 +203,6 @@ class LinComb:
         for w in self.terms:
             out |= w.indices()
         return out
-
-
-def involute(c: LinComb) -> LinComb:
-    return c.T
 
 
 # ---------------------------------------------------------------------------

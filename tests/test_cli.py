@@ -276,6 +276,16 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_large_prime_field(capsys):
+    code, out, _ = run(capsys, "bpf", "-t", "1", "-r", "1", "--field", "fp:2305843009213693951")
+    assert code == 0 and out.strip().isdigit()
+    for p in ("4", "3215031751", "3317044064679887385961981"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bpf", "-t", "1", "-r", "1", "--field", f"fp:{p}"])
+        assert exc.value.code == 2
+        assert f"'fp:{p}' is not an odd prime field" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_two(capsys):
     code, _, err = run(capsys, "eval", "tr[x]", "--assign", "/no/such/file")
     assert code == 2 and "error:" in err

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from sigmaring.matrices import (
     EvalContext,
     ExactMatrix,
     Fp,
+    _check_prime,
+    _is_prime,
     matrix_from_json_obj,
     matrix_json_obj,
     random_matrix,
@@ -48,6 +51,51 @@ def test_fp_arithmetic():
         Fp(1, 9)
     with pytest.raises(ValueError):
         Fp(1, 5) + Fp(1, 7)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: n - 1 = d * 2^s, a^d = 1 or a^(d 2^i) = -1."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+
+
+PRIME_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+def test_is_prime_matches_trial_division():
+    trial = [n for n in range(3000) if n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if _is_prime(n)] == trial
+    assert not _is_prime(-7)
+
+
+@pytest.mark.parametrize(
+    "n, fooled_by",
+    [(2047, 1), (3215031751, 4), (318665857834031151167461, 12)],
+)
+def test_check_prime_rejects_strong_pseudoprimes(n, fooled_by):
+    # n passes the first `fooled_by` prime bases and fails the next one
+    assert all(strong_probable_prime(n, a) for a in PRIME_BASES[:fooled_by])
+    assert not strong_probable_prime(n, PRIME_BASES[fooled_by])
+    with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+        _check_prime(n)
+
+
+def test_check_prime_bound_and_large_prime():
+    start = time.perf_counter()
+    assert _check_prime(2**61 - 1) == 2**61 - 1
+    assert _check_prime(2**31 - 1) == 2**31 - 1
+    assert time.perf_counter() - start < 5
+    # the least strong pseudoprime to all 13 bases is refused by the bound
+    psi13 = 3317044064679887385961981
+    assert all(strong_probable_prime(psi13, a) for a in PRIME_BASES)
+    with pytest.raises(ValueError, match="too large"):
+        _check_prime(psi13)
+    with pytest.raises(ValueError, match="^characteristic 2 is not supported$"):
+        _check_prime(2)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        Fp(1, 9)
 
 
 @pytest.mark.parametrize("field", ["Q", 5, 7])

@@ -13,6 +13,20 @@ def texts(cycles):
     return [word_text(c.word, XYZ) for c in cycles]
 
 
+def is_closed_path(q, word: Word) -> bool:
+    for start in (1, 2):
+        at = start
+        ok = True
+        for lt in word:
+            at = q.step(lt, at)
+            if at is None:
+                ok = False
+                break
+        if ok and at == start:
+            return True
+    return False
+
+
 def test_step_table():
     q = Quiver(1, 1, 1)
     # x loops at 1, x' at 2; y-block leaves 1; z-block returns
@@ -119,7 +133,7 @@ def test_closed_cycles_rejects_negative_budget():
 def test_cycles_are_canonical_closed_and_primitive():
     q = Quiver(1, 2, 1)
     for c in q.closed_cycles({1: 2, 2: 1, 3: 1, 4: 2}):
-        assert q.is_closed_path(c.word)
+        assert is_closed_path(q, c.word)
         root, e = canonicalize(c.word)
         assert e == 1 and root == c.word
         assert is_primitive(c.word)

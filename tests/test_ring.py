@@ -28,7 +28,7 @@ from sigmaring.ring import (
     substitute,
 )
 from sigmaring.sigmatr import sigma_partial
-from sigmaring.words import Letter, LinComb, Naming, Word, is_primitive, parse_word
+from sigmaring.words import Letter, LinComb, Naming, Word, _period, is_primitive, parse_word
 
 A_ = Naming.single("a")
 XYZ = Naming.xyz(1, 1, 1)
@@ -176,10 +176,24 @@ def test_amitsur_two_letters():
     assert got == "tr[a1]*tr[a2] - tr[a1 a2] + s2[a1] + s2[a2]"
 
 
+def _atom_cycles(p: int, maxdeg: int) -> list[tuple[int, ...]]:
+    """Primitive cyclic words over atoms 0..p-1 (cyclic equivalence only),
+    one minimal-rotation representative each, degree <= maxdeg."""
+    out = []
+    for length in range(1, maxdeg + 1):
+        for tup in itertools.product(range(p), repeat=length):
+            rots = [tup[i:] + tup[:i] for i in range(length)]
+            if tup == min(rots) and _period(tup) == length:
+                out.append(tup)
+    return out
+
+
 def skip_first_amitsur(t, summands):
     """amitsur_expand as one recursion frame per atom cycle, skipped or
-    picked."""
-    cycles = ring._atom_cycles(len(summands), t)
+    picked: the signed sum over sets of pairwise distinct primitive cycles
+    in the summands (each summand an atomic symbol) with exponents j_i of
+    total weighted degree t, sign (-1)^(t - sum j_i)."""
+    cycles = _atom_cycles(len(summands), t)
     total = SigmaPoly.zero()
 
     def descend(i, budget, picked):
@@ -215,15 +229,26 @@ AMITSUR_SUMMANDS = [
     (Fraction(1), W((1, False))),
     (Fraction(-2, 3), W((2, False), (1, True))),
     (Fraction(3), W((2, True))),
+    (Fraction(1, 5), W((3, False))),
 ]
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_amitsur_matches_skip_first_recursion(t, p):
+@pytest.mark.parametrize(
+    "p, t", [(p, t) for p in (1, 2, 3) for t in range(1, 6)] + [(4, t) for t in range(1, 5)]
+)
+def test_amitsur_matches_skip_first_recursion(p, t):
     got = amitsur_expand(t, AMITSUR_SUMMANDS[:p])
     want = skip_first_amitsur(t, AMITSUR_SUMMANDS[:p])
-    assert list(got.monomials.items()) == list(want.monomials.items())
+    assert got.sorted_monomials() == want.sorted_monomials()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_amitsur_drops_zero_summands(t):
+    a, b, c, d = AMITSUR_SUMMANDS
+    zero_b, zero_d = (Fraction(0), b[1]), (Fraction(0), d[1])
+    got = amitsur_expand(t, [a, zero_b, c, zero_d])
+    assert got.sorted_monomials() == skip_first_amitsur(t, [a, c]).sorted_monomials()
+    assert amitsur_expand(t, [zero_b, zero_d]) == SigmaPoly.zero()
 
 
 def test_amitsur_many_cycles_under_low_recursion_limit():
@@ -231,7 +256,7 @@ def test_amitsur_many_cycles_under_low_recursion_limit():
     # frame per picked cycle only, at most 9 of them.
     summands = AMITSUR_SUMMANDS[:2]
     want = skip_first_amitsur(9, summands)
-    cycles = ring._atom_cycles(2, 9)
+    cycles = _atom_cycles(2, 9)
     limit = len(inspect.stack(0)) + 60
     assert limit < len(cycles)
     old = sys.getrecursionlimit()

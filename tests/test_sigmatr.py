@@ -9,7 +9,6 @@ from sigmaring.sigmatr import (
     sigma_partial,
     sigma_partial_subst,
     sigma_tr,
-    sigma_tr_subst,
 )
 from sigmaring.words import Letter, LinComb, Naming, Word
 
@@ -68,7 +67,7 @@ def test_subst_identity_args():
     x = LinComb.of(Word([Letter(1)]))
     y = LinComb.of(Word([Letter(2)]))
     z = LinComb.of(Word([Letter(3)]))
-    assert sigma_tr_subst(1, 1, x, y, z) == sigma_tr(1, 1)
+    assert substitute(sigma_tr(1, 1), {1: x, 2: y, 3: z}) == sigma_tr(1, 1)
 
 
 def test_subst_arity_check():

@@ -9,8 +9,11 @@ from sigmaring.ring import poly_text
 from sigmaring.sigmatr import sigma_lin, sigma_tr
 from sigmaring.tableau import (
     Arrow,
+    Cell,
+    Element,
     Tableau,
     _bpf_permutation_sum,
+    _kind,
     _perm_sign,
     bpf,
     build_T,
@@ -18,14 +21,79 @@ from sigmaring.tableau import (
     decompose,
     dp,
     path_sign_closed_form,
-    path_sign_definitional,
     path_sign_rules,
     path_word,
-    selection_sign_closed_form,
 )
-from sigmaring.words import Naming, canonicalize, word_text
+from sigmaring.words import Naming, Word, canonicalize, word_text
 
 XYZ = Naming.xyz(1, 1, 1)
+
+
+# Two more sign computations, kept as oracles for the ones in src/.
+
+
+def selection_sign_closed_form(T: Tableau, selection: list[tuple[int, Word]]) -> int:
+    """(-1) ** (t + sum j * (deg_y + deg_z + 1)) with t the number of
+    x-kind arrows and deg_y, deg_z counting untransposed letters."""
+    t = sum(1 for a in T.arrows if T.kinds[a.label] == "x")
+    e = t
+    for j, word in selection:
+        dy = sum(1 for lt in word if not lt.transposed and _kind(T, lt) == "y")
+        dz = sum(1 for lt in word if not lt.transposed and _kind(T, lt) == "z")
+        e += j * (dy + dz + 1)
+    return (-1) ** e
+
+
+def path_sign_definitional(T: Tableau, Ti: Tableau, path: list[Element]) -> int:
+    """Sign of the column permutation that realigns the path with T.
+
+    The path lives in Ti (T with permuted column-2 rows); tau ranges over
+    permutations of the column-2 rows the path touches, fixing everything
+    else, and must move every path element onto an element of T with the
+    same label and transpose status in exactly the same cells.  All valid
+    tau share one parity, which is returned.
+    """
+    rows = sorted(
+        {
+            r
+            for e in path
+            for (c, r) in (Ti.tail_of(e), Ti.head_of(e))
+            if c == 2
+        }
+    )
+    targets = set()
+    for a in T.arrows:
+        targets.add((a.label, False, a.tail, a.head))
+        targets.add((a.label, True, a.head, a.tail))
+
+    signs = set()
+    for image in permutations(rows):
+        tau = dict(zip(rows, image))
+
+        def move(cell: Cell) -> Cell:
+            c, r = cell
+            return (c, tau[r]) if c == 2 else cell
+
+        if all(
+            (
+                Ti.arrows[e.arrow].label,
+                e.transposed,
+                move(Ti.tail_of(e)),
+                move(Ti.head_of(e)),
+            )
+            in targets
+            for e in path
+        ):
+            inv = sum(
+                1
+                for i in range(len(rows))
+                for j in range(i + 1, len(rows))
+                if tau[rows[i]] > tau[rows[j]]
+            )
+            signs.add(-1 if inv % 2 else 1)
+    if len(signs) != 1:
+        raise ValueError(f"realigning permutations give signs {sorted(signs)}")
+    return signs.pop()
 
 
 def test_build_shapes():

@@ -11,7 +11,6 @@ from sigmaring.words import (
     Word,
     canonicalize,
     glue,
-    involute,
     is_primitive,
     lincomb_text,
     mdeg,
@@ -31,6 +30,12 @@ def brute_primitive(w: Word) -> bool:
         if len(ls) % p == 0 and ls[:p] * (len(ls) // p) == ls:
             return False
     return True
+
+
+def rotations(w: Word):
+    n = len(w.letters)
+    for i in range(n):
+        yield Word(w.letters[i:] + w.letters[:i])
 
 
 def test_letter_order():
@@ -61,7 +66,7 @@ def test_canonicalize_constant_on_class(w):
     root, e = canonicalize(w)
     assert is_primitive(root)
     assert len(root) * e == len(w)
-    for rot in w.rotations():
+    for rot in rotations(w):
         assert canonicalize(rot)[0] == root
     r2, e2 = canonicalize(w.T)
     assert (r2, e2) == (root, e)
@@ -117,7 +122,6 @@ def test_lincomb_arithmetic():
     assert not (a - a)
     # transpose is an anti-homomorphism
     assert (a * b).T == b.T * a.T
-    assert involute(s) == s.T
 
 
 def test_lincomb_text_roundtrip():
