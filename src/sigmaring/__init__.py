@@ -49,7 +49,6 @@ from .matrices import (
     ExactMatrix,
     Fp,
     matrix_from_json_obj,
-    matrix_json_obj,
     random_matrix,
     random_symmetric,
 )

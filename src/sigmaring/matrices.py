@@ -8,6 +8,11 @@ generic matrices of exact verification).  sigma_t is 0 for t > n.
 
 EvalContext binds letter indices to matrices and evaluates sigma-ring
 polynomials, caching word products and their sigma_t lists per assignment.
+It computes on raw values, one layer for both fields (`_lift`, `_reduce`):
+over Q an `int` where a value is integral and a `Fraction` only where it is
+not, over F_p the least nonnegative `int` representative.  `Fraction` and
+`Fp` objects appear only at the boundary: in `ExactMatrix` rows and in the
+values that `sigma`, `det` and `eval_poly` return.
 """
 
 from __future__ import annotations
@@ -76,9 +81,7 @@ class Fp:
                 raise ValueError("mixed characteristics")
             v = v.v
         elif isinstance(v, Fraction):
-            if v.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator of {v} vanishes mod {p}")
-            v = v.numerator * pow(v.denominator, -1, p)
+            v = _reduce(v, p)
         object.__setattr__(self, "v", int(v) % p)
         object.__setattr__(self, "p", p)
 
@@ -139,7 +142,8 @@ class Fp:
         return isinstance(other, Fp) and other.p == self.p and other.v == self.v
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        # equal to the hash of the int it equals, as Fraction(3) hashes like 3
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -189,6 +193,22 @@ def _sigmas(a, one) -> list:
 # A field is either the string "Q" or an odd prime p.
 
 
+def _lift(rows) -> list[list]:
+    """Rows of Fraction/Fp field elements as raw values (see `_reduce`)."""
+    return [[v.v if isinstance(v, Fp) else _reduce(v, "Q") for v in row] for row in rows]
+
+
+def _reduce(v, field):
+    """The raw value of an int or Fraction v in field: over Q an int where v
+    is integral and v itself otherwise, over F_p the least nonnegative
+    representative."""
+    if field == "Q":
+        return v.numerator if v.denominator == 1 else v
+    if v.denominator % field == 0:
+        raise ZeroDivisionError(f"denominator of {v} vanishes mod {field}")
+    return v.numerator * pow(v.denominator, -1, field) % field
+
+
 def field_of(spec) -> object:
     if spec == "Q" or spec is None:
         return "Q"
@@ -230,12 +250,6 @@ class ExactMatrix:
     def _like(self, rows) -> "ExactMatrix":
         return ExactMatrix(rows, self.field)
 
-    def _zero_el(self):
-        return as_element(0, self.field)
-
-    def _one_el(self):
-        return as_element(1, self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -266,23 +280,19 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return self._like([list(col) for col in zip(*self.rows)])
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.n)), self._zero_el())
-
     def entry(self, i: int, j: int):
         """1-based access."""
         return self.rows[i - 1][j - 1]
 
     def det(self):
-        return _sigmas(self.rows, self._one_el())[self.n]
+        return as_element(_sigmas(_lift(self.rows), 1)[self.n], self.field)
 
     def sigma(self, t: int):
         """Sum of principal t x t minors; 1 for t = 0, 0 for t > n."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        if t > self.n:
-            return self._zero_el()
-        return _sigmas(self.rows, self._one_el())[t]
+        s = _sigmas(_lift(self.rows), 1)
+        return as_element(s[t] if t <= self.n else 0, self.field)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
@@ -324,57 +334,57 @@ class EvalContext:
         self.assignment = dict(assignment)
         self.n = sizes.pop()
         self.field = fields.pop()
-        self._words: dict[tuple, ExactMatrix] = {}
+        self._letters = {k: _lift(m.rows) for k, m in self.assignment.items()}
+        self._words: dict[tuple, list] = {}
         self._sigmas: dict[tuple, list] = {}
 
-    def word_matrix(self, w: Word) -> ExactMatrix:
+    def _word_rows(self, w: Word) -> list:
         key = w.key()
         hit = self._words.get(key)
-        if hit is not None:
-            return hit
-        out = None
-        for lt in w:
-            m = self.assignment.get(lt.index)
-            if m is None:
-                raise ValueError(f"no matrix for letter index {lt.index}")
-            if lt.transposed:
-                m = m.T
-            out = m if out is None else out * m
-        self._words[key] = out
-        return out
+        if hit is None:
+            for lt in w:
+                m = self._letters.get(lt.index)
+                if m is None:
+                    raise ValueError(f"no matrix for letter index {lt.index}")
+                if lt.transposed:
+                    m = [list(col) for col in zip(*m)]
+                if hit is not None:
+                    m = [[_reduce(v, self.field) for v in row] for row in _matmul(hit, m)]
+                hit = m
+            self._words[key] = hit
+        return hit
+
+    def _sigma_list(self, w: Word) -> list:
+        key = w.key()
+        hit = self._sigmas.get(key)
+        if hit is None:
+            out = _sigmas(self._word_rows(w), 1)
+            hit = self._sigmas[key] = [_reduce(v, self.field) for v in out]
+        return hit
+
+    def word_matrix(self, w: Word) -> ExactMatrix:
+        return ExactMatrix(self._word_rows(w), self.field)
 
     def sigma(self, t: int, w: Word):
         if t < 0:
             raise ValueError("t must be nonnegative")
-        key = w.key()
-        hit = self._sigmas.get(key)
-        if hit is None:
-            m = self.word_matrix(w)
-            hit = self._sigmas[key] = _sigmas(m.rows, m._one_el())
-        return hit[t] if t <= self.n else as_element(0, self.field)
+        return as_element(self._sigma_list(w)[t] if t <= self.n else 0, self.field)
 
     def eval_poly(self, p: SigmaPoly):
-        total = as_element(0, self.field)
+        field, n, sigma_list = self.field, self.n, self._sigma_list
+        total = 0
         for mono, coeff in p.monomials.items():
-            term = as_element(coeff, self.field)
-            for g in mono:
-                term = term * self.sigma(g.t, g.cycle)
-            total = total + term
-        return total
+            term = _reduce(coeff, field)
+            for t, cycle in mono:
+                term *= sigma_list(cycle)[t] if t <= n else 0
+            total += term
+        return as_element(total, field)
 
 
 # ---------------------------------------------------------------------------
 # JSON: {"n": 3, "field": "Q", "entries": [["1/2", "0", "3"], ...]} or
 #       {"n": 3, "field": "Fp", "p": 5, "entries": [...]}.
 # ---------------------------------------------------------------------------
-
-
-def matrix_json_obj(m: ExactMatrix) -> dict:
-    obj = {"n": m.n, "field": "Q" if m.field == "Q" else "Fp"}
-    if m.field != "Q":
-        obj["p"] = m.field
-    obj["entries"] = [[str(v) for v in row] for row in m.rows]
-    return obj
 
 
 def matrix_from_json_obj(obj: dict) -> ExactMatrix:

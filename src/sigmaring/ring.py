@@ -539,14 +539,3 @@ def poly_json_obj(p: SigmaPoly, naming: Naming) -> dict:
         )
     return {"terms": terms}
 
-
-def poly_from_json_obj(obj: dict, naming: Naming) -> SigmaPoly:
-    out: dict[Monomial, Fraction] = {}
-    for term in obj["terms"]:
-        gens = [
-            make_gen(int(g["t"]), parse_word(f"[{g['word']}]", naming))
-            for g in term["gens"]
-        ]
-        mono = _mono_sorted(gens)
-        out[mono] = out.get(mono, Fraction(0)) + Fraction(term["coeff"])
-    return SigmaPoly(out)

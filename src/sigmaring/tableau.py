@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .matrices import ExactMatrix, Fp, as_element
+from .matrices import ExactMatrix, _lift, as_element
 from .ring import SigmaGen, SigmaPoly, _mono_sorted
 from .words import Letter, Word, canonicalize
 
@@ -233,13 +233,9 @@ def _bpf_pfaffian(t: int, r: int, mats: dict[int, ExactMatrix]) -> Fraction:
     """
     n = t + 2 * r
 
-    def lift(label: int, used: int) -> list[list]:
-        # a label without arrows is not validated and does not contribute
-        if not used:
-            return [[0] * n for _ in range(n)]
-        return [[v.v if isinstance(v, Fp) else v for v in row] for row in mats[label].rows]
-
-    x, y, z = lift(1, t), lift(2, r), lift(3, r)
+    # a label without arrows is not validated and does not contribute
+    zero = [[0] * n for _ in range(n)]
+    x, y, z = (_lift(mats[k].rows) if used else zero for k, used in ((1, t), (2, r), (3, r)))
     skew_y = [[y[i][j] - y[j][i] for j in range(n)] for i in range(n)]
     bottom = [
         [-x[j][i] for j in range(n)] + [z[i][j] - z[j][i] for j in range(n)] for i in range(n)

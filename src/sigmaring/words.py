@@ -28,7 +28,7 @@ class Letter(NamedTuple):
 class Word:
     """Immutable nonempty sequence of letters."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[Letter]):
         letters = tuple(letters)
@@ -38,6 +38,7 @@ class Word:
             if not isinstance(lt, Letter) or lt.index < 1:
                 raise ValueError(f"bad letter {lt!r}")
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -52,7 +53,7 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return self._hash
 
     def __lt__(self, other: "Word") -> bool:
         return self.key() < other.key()

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -10,26 +11,31 @@ from sigmaring.matrices import (
     Fp,
     _check_prime,
     _is_prime,
+    _sigmas,
+    as_element,
     matrix_from_json_obj,
-    matrix_json_obj,
     random_matrix,
     random_symmetric,
 )
-from sigmaring.ring import sigma_of_word
-from sigmaring.words import Letter, Word
+from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
+from sigmaring.words import Letter, Word, canonicalize
+
+
+def trace(m: ExactMatrix):
+    return sum((m.rows[i][i] for i in range(m.n)), as_element(0, m.field))
 
 
 def leibniz_det(m: ExactMatrix):
     """Independent determinant: signed permutation expansion."""
     n = m.n
-    total = m._zero_el()
+    total = as_element(0, m.field)
     for perm in itertools.permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        term = m._one_el() * sign
+        term = as_element(1, m.field) * sign
         for i in range(n):
             term = term * m.rows[i][perm[i]]
         total = total + term
@@ -51,6 +57,14 @@ def test_fp_arithmetic():
         Fp(1, 9)
     with pytest.raises(ValueError):
         Fp(1, 5) + Fp(1, 7)
+
+
+def test_fp_hash_agrees_with_eq():
+    assert Fp(3, 5) == 3 and hash(Fp(3, 5)) == hash(3)
+    assert 3 in {Fp(3, 5)}
+    assert Fp(3, 5) in {3}
+    assert Fp(-2, 5) in {3}
+    assert len({Fp(3, 5), Fp(8, 5), 3, Fraction(3)}) == 1
 
 
 def strong_probable_prime(n: int, a: int) -> bool:
@@ -114,7 +128,7 @@ def test_sigma_matches_principal_minor_leibniz(field, n):
     for trial in range(3):
         m = random_matrix(n, 1700 + 10 * n + trial, field=field)
         for t in range(n + 2):
-            want = m._zero_el()
+            want = as_element(0, m.field)
             for rows in itertools.combinations(range(n), t):
                 sub = ExactMatrix([[m.rows[i][j] for j in rows] for i in rows], field)
                 want = want + leibniz_det(sub)
@@ -146,7 +160,7 @@ def test_sigma_charpoly_identity():
 def test_sigma_edges():
     a = random_matrix(3, 4)
     assert a.sigma(0) == 1
-    assert a.sigma(1) == a.trace()
+    assert a.sigma(1) == trace(a)
     assert a.sigma(3) == a.det()
     assert a.sigma(4) == 0
     with pytest.raises(ValueError):
@@ -175,7 +189,7 @@ def test_eval_context_words():
     assert ctx.word_matrix(w) == a * b.T * a
     assert ctx.sigma(2, w) == (a * b.T * a).sigma(2)
     p = sigma_of_word(1, w)
-    assert ctx.eval_poly(p) == (a * b.T * a).trace()
+    assert ctx.eval_poly(p) == trace(a * b.T * a)
 
 
 def test_eval_context_validation():
@@ -202,6 +216,15 @@ def test_matrix_ops_and_validation():
         a + ExactMatrix([[1]])
 
 
+def matrix_json_obj(m: ExactMatrix) -> dict:
+    """Inverse of matrix_from_json_obj."""
+    obj = {"n": m.n, "field": "Q" if m.field == "Q" else "Fp"}
+    if m.field != "Q":
+        obj["p"] = m.field
+    obj["entries"] = [[str(v) for v in row] for row in m.rows]
+    return obj
+
+
 @pytest.mark.parametrize("field", ["Q", 5])
 def test_matrix_json_roundtrip(field):
     m = random_matrix(3, 8, field=field)
@@ -213,3 +236,150 @@ def test_matrix_json_roundtrip(field):
     bad["n"] = 5
     with pytest.raises(ValueError):
         matrix_from_json_obj(bad)
+
+
+# ---------------------------------------------------------------------------
+# The int layer of EvalContext against evaluation on Fraction/Fp objects.
+# ---------------------------------------------------------------------------
+
+
+class object_eval_context:
+    """EvalContext computing on Fraction/Fp objects throughout: word
+    products by ExactMatrix multiplication, sigma_t lists by `_sigmas` over
+    the field elements.  The oracle for the int layer."""
+
+    def __init__(self, assignment: dict[int, ExactMatrix]):
+        if not assignment:
+            raise ValueError("empty assignment")
+        sizes = {m.n for m in assignment.values()}
+        fields = {m.field for m in assignment.values()}
+        if len(sizes) != 1 or len(fields) != 1:
+            raise ValueError("assignment matrices must share size and field")
+        self.assignment = dict(assignment)
+        self.n = sizes.pop()
+        self.field = fields.pop()
+        self._words: dict[tuple, ExactMatrix] = {}
+        self._sigmas: dict[tuple, list] = {}
+
+    def word_matrix(self, w: Word) -> ExactMatrix:
+        key = w.key()
+        hit = self._words.get(key)
+        if hit is not None:
+            return hit
+        out = None
+        for lt in w:
+            m = self.assignment.get(lt.index)
+            if m is None:
+                raise ValueError(f"no matrix for letter index {lt.index}")
+            if lt.transposed:
+                m = m.T
+            out = m if out is None else out * m
+        self._words[key] = out
+        return out
+
+    def sigma(self, t: int, w: Word):
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        key = w.key()
+        hit = self._sigmas.get(key)
+        if hit is None:
+            m = self.word_matrix(w)
+            hit = self._sigmas[key] = _sigmas(m.rows, as_element(1, m.field))
+        return hit[t] if t <= self.n else as_element(0, self.field)
+
+    def eval_poly(self, p: SigmaPoly):
+        total = as_element(0, self.field)
+        for mono, coeff in p.monomials.items():
+            term = as_element(coeff, self.field)
+            for g in mono:
+                term = term * self.sigma(g.t, g.cycle)
+            total = total + term
+        return total
+
+
+def random_words(rng: random.Random, d: int, count: int) -> list[Word]:
+    return [
+        Word(Letter(rng.randint(1, d), rng.random() < 0.5) for _ in range(rng.randint(1, 4)))
+        for _ in range(count)
+    ]
+
+
+def random_sigma_poly(rng: random.Random, n: int, d: int, dens=(1, 2, 3, 4)) -> SigmaPoly:
+    """Rational coefficients over generators s_t(w), t up to n + 1, on the
+    canonical roots of random words with transposed letters."""
+    monomials = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = tuple(
+            SigmaGen(rng.randint(1, n + 1), canonicalize(w)[0])
+            for w in random_words(rng, d, rng.randint(0, 3))
+        )
+        monomials[mono] = Fraction(rng.randint(-9, 9), rng.choice(dens))
+    return SigmaPoly(monomials)
+
+
+def fractional_matrix(n: int, seed: int, field) -> ExactMatrix:
+    """Entries like "-7/3" through the JSON reader, as `eval` reads them."""
+    rng = random.Random(seed)
+    entries = [
+        [f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3))}" for _ in range(n)] for _ in range(n)
+    ]
+    obj = {"n": n, "field": "Q" if field == "Q" else "Fp", "entries": entries}
+    if field != "Q":
+        obj["p"] = field
+    return matrix_from_json_obj(obj)
+
+
+def assert_same_value(got, want, field):
+    assert type(got) is (Fraction if field == "Q" else Fp), (got, field)
+    assert got == want
+    if field != "Q":
+        assert (got.v, got.p) == (want.v, want.p)
+
+
+@pytest.mark.parametrize("field", ["Q", 5, 7, 10007])
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_int_layer_matches_object_oracle(field, fractional, n):
+    rng = random.Random(f"{field}-{fractional}-{n}")
+    d = 2
+    make = fractional_matrix if fractional else (lambda n, s, f: random_matrix(n, s, field=f))
+    for trial in range(3):
+        mats = {k: make(n, 100 * trial + k, field) for k in range(1, d + 1)}
+        ctx, oracle = EvalContext(mats), object_eval_context(mats)
+        for w in random_words(rng, d, 6):
+            got = ctx.word_matrix(w)
+            assert got == oracle.word_matrix(w) and got.field == ctx.field
+            for t in range(n + 2):
+                assert_same_value(ctx.sigma(t, w), oracle.sigma(t, w), field)
+        for _ in range(8):
+            p = random_sigma_poly(rng, n, d)
+            assert_same_value(ctx.eval_poly(p), oracle.eval_poly(p), field)
+        for p in (SigmaPoly.zero(), SigmaPoly.one()):
+            assert_same_value(ctx.eval_poly(p), oracle.eval_poly(p), field)
+
+
+@pytest.mark.parametrize("p", [5, 7, 10007])
+def test_int_layer_stays_reduced_mod_p(p):
+    """Cached word products and sigma_t lists hold least nonnegative
+    representatives, so the ints stay below p."""
+    rng = random.Random(p)
+    ctx = EvalContext({k: random_matrix(3, 40 + k, field=p) for k in (1, 2)})
+    for _ in range(10):
+        ctx.eval_poly(random_sigma_poly(rng, 3, 2))
+    values = [v for rows in ctx._words.values() for row in rows for v in row]
+    values += [v for s in ctx._sigmas.values() for v in s]
+    assert values and all(type(v) is int and 0 <= v < p for v in values)
+    assert any(len(key) > 1 for key in ctx._words)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_coefficient_denominator_vanishing_mod_p(p):
+    ctx = EvalContext({1: random_matrix(2, 3, field=p)})
+    poly = Fraction(1, p) * sigma_of_word(1, Word([Letter(1)]))
+    message = f"^denominator of 1/{p} vanishes mod {p}$"
+    with pytest.raises(ZeroDivisionError, match=message):
+        ctx.eval_poly(poly)
+    with pytest.raises(ZeroDivisionError, match=message):
+        object_eval_context({1: random_matrix(2, 3, field=p)}).eval_poly(poly)
+    with pytest.raises(ZeroDivisionError, match=message):
+        Fp(Fraction(1, p), p)

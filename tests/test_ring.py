@@ -20,7 +20,6 @@ from sigmaring.ring import (
     multiplicity_stats,
     normalize,
     parse_poly,
-    poly_from_json_obj,
     poly_json_obj,
     poly_text,
     power_reduce,
@@ -467,6 +466,19 @@ def test_poly_text_parse_roundtrip():
     assert poly_text(SigmaPoly.zero(), XYZ) == "0"
     assert poly_text(SigmaPoly.one(), XYZ) == "1"
     assert parse_poly("1 - 1", XYZ) == SigmaPoly.zero()
+
+
+def poly_from_json_obj(obj: dict, naming: Naming) -> SigmaPoly:
+    """Inverse of poly_json_obj."""
+    out: dict = {}
+    for term in obj["terms"]:
+        gens = [
+            make_gen(int(g["t"]), parse_word(f"[{g['word']}]", naming))
+            for g in term["gens"]
+        ]
+        mono = ring._mono_sorted(gens)
+        out[mono] = out.get(mono, Fraction(0)) + Fraction(term["coeff"])
+    return SigmaPoly(out)
 
 
 def test_poly_json_roundtrip():

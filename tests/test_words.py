@@ -158,3 +158,15 @@ def test_naming_roundtrip_stability():
     assert nm.names == ["a", "b"]
     w = parse_word("[b a' a]", nm)
     assert word_text(w, nm) == "[b a' a]"
+
+
+@given(words, words)
+def test_word_hash_cached_and_consistent(u, v):
+    assert hash(u) == hash(u.letters) == hash(Word(u.letters))
+    assert (u == v) == (u.key() == v.key())
+    if u == v:
+        assert hash(u) == hash(v)
+    with pytest.raises(AttributeError):
+        u.letters = v.letters
+    with pytest.raises(AttributeError):
+        u._hash = 0
