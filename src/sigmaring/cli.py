@@ -33,6 +33,7 @@ from .matrices import (
 )
 from .quiver import Quiver
 from .relations import (
+    _check_exact_size,
     certificate,
     gl_relation_generators,
     o_relation_generators,
@@ -174,6 +175,8 @@ def cmd_bpf(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    if args.verify == "exact":
+        _check_exact_size(args.n, args.d)
     if args.kind == "o":
         gen = o_relation_generators(args.n, args.d, args.max_deg, args.max_word_len)
     else:
@@ -183,6 +186,7 @@ def cmd_relations(args) -> int:
 
     certs = []
     falsified = 0
+    skipped = 0
     count = 0
     for rel in gen:
         count += 1
@@ -203,6 +207,7 @@ def cmd_relations(args) -> int:
                 ok = verify_exact(rel.poly, args.n, args.d)
             except ValueError as e:
                 print(f"SKIPPED   {rel.describe()}  ({e})")
+                skipped += 1
                 continue
             extra = {}
         certs.append(certificate(rel, args.verify, ok, **extra))
@@ -211,7 +216,8 @@ def cmd_relations(args) -> int:
         if not ok:
             falsified += 1
     if args.verify is not None:
-        print(f"{count} relations, {falsified} falsified")
+        note = f", {skipped} skipped" if skipped else ""
+        print(f"{count} relations, {falsified} falsified{note}")
     if args.out:
         write_certificates(certs, args.out)
         print(f"wrote {len(certs)} certificates to {args.out}")

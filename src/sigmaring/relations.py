@@ -24,7 +24,10 @@ their word-product and sigma_t caches, across all of its relations.  Exact
 verification likewise computes sigma_0, ..., sigma_n of each generic word
 matrix once per (n, d), with the same division-free kernel that evaluates
 exact matrices (matrices._sigmas), and shares them across every relation of
-the process.
+the process.  A relation is then a linear combination of the generic images
+of its sigma-monomials; each distinct monomial's image is expanded once per
+(n, d), shared across the process, and verify_exact only sums coefficient
+times image term by term.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import EvalContext, _matmul, _sigmas, field_of, random_matrix
-from .ring import SigmaPoly, normalize
+from .ring import Monomial, SigmaPoly, normalize
 from .sigmatr import sigma_partial_subst
 from .words import Letter, LinComb, Naming, Word, parse_word, word_text
 
@@ -280,23 +283,44 @@ def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
     return hit[t] if t <= n else MultiPoly.const(nv, 0)
 
 
-def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
-    """Identically-zero check on generic matrix entries; refuses inputs
-    beyond small hard caps since the expansion is dense."""
+# (n, d, monomial) -> terms of the generic image of that sigma-monomial, the
+# product of its _generic_sigma factors.  Relations share few distinct
+# monomials, so each image is expanded once per process; the exact caps bound
+# the number of keys.
+_generic_monomial_memo: dict[tuple, dict] = {}
+
+
+def _generic_monomial(n: int, d: int, mono: Monomial) -> dict:
+    key = (n, d, mono)
+    hit = _generic_monomial_memo.get(key)
+    if hit is None:
+        image = MultiPoly.const(d * n * n, 1)
+        for g in mono:
+            image = image * _generic_sigma(n, d, g.t, g.cycle)
+        hit = _generic_monomial_memo[key] = image.terms
+    return hit
+
+
+def _check_exact_size(n: int, d: int) -> None:
     if n > EXACT_MAX_N or d > EXACT_MAX_D:
         raise ValueError(
             f"exact mode is capped at n <= {EXACT_MAX_N}, d <= {EXACT_MAX_D}"
         )
+
+
+def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
+    """Identically-zero check on generic matrix entries; refuses inputs
+    beyond small hard caps since the expansion is dense."""
+    _check_exact_size(n, d)
     if poly_degree(poly) > EXACT_MAX_DEGREE:
         raise ValueError(f"exact mode is capped at degree {EXACT_MAX_DEGREE}")
-    nv = d * n * n
-    total = MultiPoly.const(nv, 0)
+    total: dict = {}
     for mono, coeff in poly.monomials.items():
-        term = MultiPoly.const(nv, coeff)
-        for g in mono:
-            term = term * _generic_sigma(n, d, g.t, g.cycle)
-        total = total + term
-    return not total
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
+        for e, c in _generic_monomial(n, d, mono).items():
+            total[e] = total.get(e, 0) + coeff * c
+    return not any(total.values())
 
 
 # ---------------------------------------------------------------------------

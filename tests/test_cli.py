@@ -224,6 +224,31 @@ def test_relations_gl_exact(capsys):
     assert "FALSIFIED" not in out
 
 
+@pytest.mark.parametrize("n, d", [("3", "1"), ("2", "3")])
+def test_relations_exact_refuses_sizes_before_generating(capsys, n, d):
+    # every relation would be skipped, so no summary may claim success
+    code, out, err = run(capsys, "relations", "-n", n, "-d", d, "--max-deg", "4",
+                         "--verify", "exact")
+    assert code == 2
+    assert out == "" and err == "error: exact mode is capped at n <= 2, d <= 2\n"
+
+
+def test_relations_exact_counts_skipped(capsys):
+    code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1", "--max-deg", "5",
+                       "--verify", "exact", "--limit", "0")
+    lines = out.splitlines()
+    skipped = [s for s in lines if s.startswith("SKIPPED ")]
+    assert len(skipped) == 346
+    assert all(s.endswith("(exact mode is capped at degree 4)") for s in skipped)
+    assert lines[-1] == "633 relations, 0 falsified, 346 skipped"
+    assert code == 0
+    # nothing skipped: the summary keeps its old form
+    code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1", "--max-deg", "4",
+                       "--verify", "exact", "--limit", "0")
+    assert code == 0 and "SKIPPED" not in out
+    assert out.splitlines()[-1].endswith(" relations, 0 falsified")
+
+
 def test_eval_assignment(capsys, tmp_path):
     assign = tmp_path / "m.json"
     assign.write_text(json.dumps({

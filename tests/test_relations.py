@@ -305,11 +305,19 @@ def test_shared_exact_images_match_fresh_oracle(n, d, budget):
 def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
     # n = 1 relations hold at n = 1 only, so both verdicts occur.  The
     # one-letter polynomials are checked at d = 1 and at d = 2, where the
-    # same words have different variables.
+    # same words have different variables; the order of d alternates between
+    # polynomials, so the images of shared monomials are first built at
+    # either d.
     monkeypatch.setattr(relations, "_generic_sigma_memo", {})
+    monkeypatch.setattr(relations, "_generic_monomial_memo", {})
     polys = [(r.poly, 1) for r in take_o(1, 1, 3)[::3]]
     polys += [(r.poly, 2) for r in take_o(1, 2, 3)[::40]]
-    configs = [(p, n, d) for p, letters in polys for n in (1, 2) for d in range(letters, 3)]
+    configs = [
+        (p, n, d)
+        for k, (p, letters) in enumerate(polys)
+        for n in (1, 2)
+        for d in (range(2, letters - 1, -1) if k % 2 else range(letters, 3))
+    ]
     verdicts = [fresh_exact_oracle(*c) for c in configs]
     assert set(verdicts) == {True, False}
     for _ in range(2):
@@ -317,6 +325,23 @@ def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
             assert verify_exact(*c) == want, c[1:]
         configs.reverse()
         verdicts.reverse()
+
+
+def test_verify_exact_non_integral_coefficients():
+    # every generated relation has integer coefficients; these do not
+    from fractions import Fraction
+
+    from sigmaring.ring import parse_poly
+
+    naming = Naming.generic(2)
+    rel = take_o(2, 2, 4, limit=1)[0]
+    half = Fraction(1, 2) * rel.poly
+    off = half + Fraction(1, 3) * parse_poly("tr[x1]", naming)
+    # s_3 of a 2 x 2 matrix is 0, so each factor s3 empties its monomial
+    beyond = parse_poly("1/2*s3[x1]*tr[x2] - 1/3*s3[x2]", naming)
+    for poly, want in ((half, True), (off, False), (beyond, True), (beyond + off, False)):
+        assert fresh_exact_oracle(poly, 2, 2) is want
+        assert verify_exact(poly, 2, 2) is want
 
 
 def test_poly_degree():
