@@ -25,12 +25,7 @@ import itertools
 import json
 import sys
 
-from .matrices import (
-    EvalContext,
-    Fp,
-    matrix_from_json_obj,
-    random_matrix,
-)
+from .matrices import EvalContext, field_of, matrix_from_json_obj, random_matrix
 from .quiver import Quiver
 from .relations import (
     _check_exact_size,
@@ -46,7 +41,7 @@ from .relations import (
 )
 from .ring import lin, normalize, parse_poly, poly_json_obj, poly_text, power_reduce
 from .sigmatr import sigma_tr
-from .tableau import bpf, build_T, decompose
+from .tableau import bpf, build_T
 from .words import Naming, canonicalize, parse_lincomb, parse_word, word_text
 
 
@@ -55,11 +50,9 @@ def _field_arg(text: str):
         return "Q"
     if text.lower().startswith("fp:"):
         try:
-            p = int(text.split(":", 1)[1])
-            Fp(0, p)
+            return field_of(int(text.split(":", 1)[1]))
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an odd prime field")
-        return p
     raise argparse.ArgumentTypeError(f"field must be Q or fp:<prime>, got {text!r}")
 
 
@@ -155,7 +148,7 @@ def cmd_dp(args) -> int:
     if t < 0:
         print("need 2r <= n", file=sys.stderr)
         return 2
-    _emit_poly(decompose(build_T(t, args.r)), Naming.xyz(1, 1, 1), args)
+    _emit_poly(sigma_tr(t, args.r), Naming.xyz(1, 1, 1), args)
     return 0
 
 
@@ -262,10 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, json_output=True, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_output:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
     p = add("canon", cmd_canon, help="canonical form of a word")
@@ -303,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=["restricted", "full", "Q"], default="restricted")
     p.add_argument("--multilinear", action="store_true")
 
-    p = add("relations", cmd_relations, help="enumerate and verify relation generators")
+    p = add(
+        "relations", cmd_relations, json_output=False,
+        help="enumerate and verify relation generators",
+    )
     p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("-d", type=_positive_int, required=True)
     p.add_argument("--kind", choices=["o", "gl"], default="o")
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=_field_arg, default="Q")
     p.add_argument("--out", help="write replayable certificates to this file")
 
-    p = add("verify", cmd_verify, help="replay a certificate file")
+    p = add("verify", cmd_verify, json_output=False, help="replay a certificate file")
     p.add_argument("certs")
 
     p = add("eval", cmd_eval, help="evaluate a polynomial at a matrix assignment")

@@ -8,11 +8,12 @@ generic matrices of exact verification).  sigma_t is 0 for t > n.
 
 EvalContext binds letter indices to matrices and evaluates sigma-ring
 polynomials, caching word products and their sigma_t lists per assignment.
-It computes on raw values, one layer for both fields (`_lift`, `_reduce`):
-over Q an `int` where a value is integral and a `Fraction` only where it is
-not, over F_p the least nonnegative `int` representative.  `Fraction` and
-`Fp` objects appear only at the boundary: in `ExactMatrix` rows and in the
-values that `sigma`, `det` and `eval_poly` return.
+Every matrix entry is a raw value, one representation for both fields
+(`_reduce`): over Q an `int` where a value is integral and a `Fraction` only
+where it is not, over F_p the least nonnegative `int` representative.
+`ExactMatrix` rows hold raw values, and EvalContext computes on them.
+`Fraction` and `Fp` objects appear only in the values returned to the
+caller, such as those of `sigma`, `det` and `eval_poly`.
 """
 
 from __future__ import annotations
@@ -75,14 +76,7 @@ class Fp:
     __slots__ = ("v", "p")
 
     def __init__(self, v, p: int):
-        _check_prime(p)
-        if isinstance(v, Fp):
-            if v.p != p:
-                raise ValueError("mixed characteristics")
-            v = v.v
-        elif isinstance(v, Fraction):
-            v = _reduce(v, p)
-        object.__setattr__(self, "v", int(v) % p)
+        object.__setattr__(self, "v", _raw(v, _check_prime(p)))
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):
@@ -193,11 +187,6 @@ def _sigmas(a, one) -> list:
 # A field is either the string "Q" or an odd prime p.
 
 
-def _lift(rows) -> list[list]:
-    """Rows of Fraction/Fp field elements as raw values (see `_reduce`)."""
-    return [[v.v if isinstance(v, Fp) else _reduce(v, "Q") for v in row] for row in rows]
-
-
 def _reduce(v, field):
     """The raw value of an int or Fraction v in field: over Q an int where v
     is integral and v itself otherwise, over F_p the least nonnegative
@@ -217,10 +206,22 @@ def field_of(spec) -> object:
 
 def as_element(value, field):
     if field == "Q":
-        if isinstance(value, Fp):
-            raise ValueError("cannot map a modular value into Q")
-        return Fraction(value)
+        return Fraction(_raw(value, field))
     return Fp(value, field)
+
+
+def _raw(v, field):
+    """The raw value in field of an entry given as an int, a Fraction, a
+    string such as "1/2" or an Fp."""
+    if isinstance(v, Fp):
+        if field == "Q":
+            raise ValueError("cannot map a modular value into Q")
+        if v.p != field:
+            raise ValueError("mixed characteristics")
+        return v.v
+    if type(v) is int:
+        return v if field == "Q" else v % field
+    return _reduce(Fraction(v), field)
 
 
 class ExactMatrix:
@@ -231,7 +232,7 @@ class ExactMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        clean = [[as_element(v, field) for v in r] for r in rows]
+        clean = [[_raw(v, field) for v in r] for r in rows]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", clean)
         object.__setattr__(self, "field", field)
@@ -280,18 +281,14 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return self._like([list(col) for col in zip(*self.rows)])
 
-    def entry(self, i: int, j: int):
-        """1-based access."""
-        return self.rows[i - 1][j - 1]
-
     def det(self):
-        return as_element(_sigmas(_lift(self.rows), 1)[self.n], self.field)
+        return as_element(_sigmas(self.rows, 1)[self.n], self.field)
 
     def sigma(self, t: int):
         """Sum of principal t x t minors; 1 for t = 0, 0 for t > n."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        s = _sigmas(_lift(self.rows), 1)
+        s = _sigmas(self.rows, 1)
         return as_element(s[t] if t <= self.n else 0, self.field)
 
     def __repr__(self):
@@ -334,7 +331,7 @@ class EvalContext:
         self.assignment = dict(assignment)
         self.n = sizes.pop()
         self.field = fields.pop()
-        self._letters = {k: _lift(m.rows) for k, m in self.assignment.items()}
+        self._letters = {k: m.rows for k, m in self.assignment.items()}
         self._words: dict[tuple, list] = {}
         self._sigmas: dict[tuple, list] = {}
 

@@ -24,6 +24,8 @@ evaluating the Pfaffian by skew Gaussian elimination at n // 2 + 1
 values of lambda.  Every other tableau (multilinear labels, column
 permutations of T(t, r)) and the "full" and "Q" forms keep the sum over
 S_n x S_n, which bpf refuses beyond n = 6 unless allow_large=True.
+Both routes read the raw entries of `ExactMatrix` rows directly and build
+a field element only for the value they return.
 decompose() recovers that sigma-polynomial combinatorially: closed paths
 of T with its column-2 rows permuted by xi split into transpose pairs
 whose words, when all primitive, contribute sign(xi) * prod
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .matrices import ExactMatrix, _lift, as_element
+from .matrices import ExactMatrix, _reduce, as_element
 from .ring import SigmaGen, SigmaPoly, _mono_sorted
 from .words import Letter, Word, canonicalize
 
@@ -182,7 +184,8 @@ def bpf(
 
 
 def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, field):
-    """bpf as the double sum over S_n x S_n; O((n!)^2 n) field operations."""
+    """bpf as the double sum over S_n x S_n; O((n!)^2 n) operations on raw
+    values, converted to a field element once at the end."""
     n = T.n
     groups: dict[tuple[int, int], list[int]] = {}
     for a in T.arrows:
@@ -195,9 +198,12 @@ def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, fi
         for i in range(2, len(rows) + 1):
             divisor *= i
 
+    # refuses a divisor that vanishes mod p before summing, whatever the total
+    factor = _reduce(Fraction(1, divisor), field) if form == "Q" else 1
     restricted = form == "restricted"
-    total = as_element(0, field)
-    perms = list(permutations(range(1, n + 1)))
+    entries = {lab: m.rows for lab, m in mats.items()}
+    total = 0
+    perms = list(permutations(range(n)))
     signs = {p: _perm_sign(p) for p in perms}
     for p1 in perms:
         if restricted and not all(_ordered(p1, rows) for rows in constraints[1]):
@@ -205,18 +211,16 @@ def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, fi
         for p2 in perms:
             if restricted and not all(_ordered(p2, rows) for rows in constraints[2]):
                 continue
-            term = as_element(signs[p1] * signs[p2], field)
+            term = signs[p1] * signs[p2]
             pi = (None, p1, p2)
             for a in T.arrows:
                 row = pi[a.tail[0]][a.tail[1] - 1]
                 col = pi[a.head[0]][a.head[1] - 1]
-                term = term * mats[a.label].entry(row, col)
+                term *= entries[a.label][row][col]
                 if not term:
                     break
-            total = total + term
-    if form == "Q":
-        total = total * (as_element(1, field) / as_element(divisor, field))
-    return total
+            total += term
+    return as_element(total * factor, field)
 
 
 def _bpf_pfaffian(t: int, r: int, mats: dict[int, ExactMatrix]) -> Fraction:
@@ -228,14 +232,15 @@ def _bpf_pfaffian(t: int, r: int, mats: dict[int, ExactMatrix]) -> Fraction:
     inside the top block as inside the bottom one, so the lambda^r part
     is the matchings with r pairs in each diagonal block and t across.
     Pf(M(lambda)) has degree <= n/2 in lambda; it is interpolated from
-    lambda = 0, ..., n // 2.  F_p entries are lifted to their integer
-    representatives: both sides are integer polynomials in the entries.
+    lambda = 0, ..., n // 2.  Over F_p it runs on the raw integer
+    representatives of the entries: both sides are integer polynomials in
+    the entries.
     """
     n = t + 2 * r
 
     # a label without arrows is not validated and does not contribute
     zero = [[0] * n for _ in range(n)]
-    x, y, z = (_lift(mats[k].rows) if used else zero for k, used in ((1, t), (2, r), (3, r)))
+    x, y, z = (mats[k].rows if used else zero for k, used in ((1, t), (2, r), (3, r)))
     skew_y = [[y[i][j] - y[j][i] for j in range(n)] for i in range(n)]
     bottom = [
         [-x[j][i] for j in range(n)] + [z[i][j] - z[j][i] for j in range(n)] for i in range(n)

@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import tempfile
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaring import cli
+from sigmaring import cli, tableau
 from sigmaring.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,9 +81,19 @@ def test_lin_round_trip(capsys):
 
 
 def test_dp_matches_sigma_tr(capsys):
-    _, dp_out, _ = run(capsys, "dp", "-n", "3", "-r", "1", "--json")
-    _, tr_out, _ = run(capsys, "sigma-tr", "-t", "1", "-r", "1", "--json")
-    assert json.loads(dp_out) == json.loads(tr_out)
+    for n in range(8):
+        for r in range(n // 2 + 1):
+            for extra in ([], ["--json"]):
+                dp = run(capsys, "dp", "-n", str(n), "-r", str(r), *extra)
+                tr = run(capsys, "sigma-tr", "-t", str(n - 2 * r), "-r", str(r), *extra)
+                assert dp == tr and dp[0] == 0, (n, r, extra)
+
+
+def test_dp_beyond_degree_guard_exits_two(capsys):
+    code, out, err = run(capsys, "dp", "-n", "11", "-r", "0")
+    assert (code, out) == (2, "")
+    assert err == run(capsys, "sigma-tr", "-t", "11", "-r", "0")[2]
+    assert err == "error: total degree 11 exceeds guard 10; pass allow_large=True to force\n"
 
 
 def test_dp_rejects_large_r(capsys):
@@ -125,6 +136,16 @@ def test_bpf_permutation_sum_beyond_n6_exits_two(capsys, extra):
     assert out == "" and err.startswith("error: ") and "allow_large" in err
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_bpf_form_q_vanishing_factorial_exits_two(capsys, monkeypatch, p):
+    # 1/p! has no value mod p; bpf must refuse before enumerating S_p x S_p
+    monkeypatch.setattr(tableau, "permutations", None)
+    code, out, err = run(capsys, "bpf", "-t", str(p), "-r", "0", "--form", "Q",
+                         "--field", f"fp:{p}")
+    assert (code, out) == (2, "")
+    assert err == f"error: denominator of 1/{factorial(p)} vanishes mod {p}\n"
+
+
 def test_cycles_negative_budget_exits_two(capsys):
     for t, r in (("-1", "0"), ("0", "-2")):
         code, out, err = run(capsys, "cycles", "-t", t, "-r", r)
@@ -146,6 +167,18 @@ def test_relations_rejects_bad_sizes(capsys, extra):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "expected an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "-n", "1", "-d", "1", "--max-deg", "2", "--json"],
+    ["verify", "certs.json", "--json"],
+])
+def test_json_rejected_where_ignored(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --json" in err
 
 
 @pytest.mark.parametrize("option,value", [

@@ -21,13 +21,24 @@ from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
 from sigmaring.words import Letter, Word, canonicalize
 
 
+def elements(m: ExactMatrix) -> list[list]:
+    """The entries of m as Fraction/Fp objects."""
+    return [[as_element(v, m.field) for v in row] for row in m.rows]
+
+
+def object_product(a: list[list], b: list[list]) -> list[list]:
+    """Product of square matrices of Fraction/Fp objects, n >= 1."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def trace(m: ExactMatrix):
-    return sum((m.rows[i][i] for i in range(m.n)), as_element(0, m.field))
+    e = elements(m)
+    return sum((e[i][i] for i in range(m.n)), as_element(0, m.field))
 
 
 def leibniz_det(m: ExactMatrix):
     """Independent determinant: signed permutation expansion."""
-    n = m.n
+    n, e = m.n, elements(m)
     total = as_element(0, m.field)
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -37,7 +48,7 @@ def leibniz_det(m: ExactMatrix):
                     sign = -sign
         term = as_element(1, m.field) * sign
         for i in range(n):
-            term = term * m.rows[i][perm[i]]
+            term = term * e[i][perm[i]]
         total = total + term
     return total
 
@@ -216,6 +227,35 @@ def test_matrix_ops_and_validation():
         a + ExactMatrix([[1]])
 
 
+def is_raw(v, field) -> bool:
+    if field == "Q":
+        return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    return type(v) is int and 0 <= v < field
+
+
+@pytest.mark.parametrize("field,bad,error,message", [
+    ("Q", Fp(1, 5), ValueError, "^cannot map a modular value into Q$"),
+    (7, Fp(1, 5), ValueError, "^mixed characteristics$"),
+    (5, "2/5", ZeroDivisionError, "^denominator of 2/5 vanishes mod 5$"),
+])
+def test_rows_hold_raw_values(field, bad, error, message):
+    """Rows store over Q an int where an entry is integral and a Fraction
+    otherwise, over F_p the least nonnegative int; so do the results of
+    +, -, scale, * and T."""
+    given = [[3, Fraction(-4, 2), "1/2"], [-1, "-7", Fraction(2, 3)], [0, -12, "13"]]
+    m = ExactMatrix(given, field)
+    for row, want_row in zip(m.rows, given):
+        for v, want in zip(row, want_row):
+            want = Fraction(want)
+            if field != "Q":
+                want = want.numerator * pow(want.denominator, -1, field) % field
+            assert is_raw(v, field) and v == want, (v, want)
+    for out in (m + m, m.scale(Fraction(1, 2)), m * m, m.T, m - m):
+        assert all(is_raw(v, field) for row in out.rows for v in row), out
+    with pytest.raises(error, match=message):
+        ExactMatrix([[1, 0], [0, bad]], field)
+
+
 def matrix_json_obj(m: ExactMatrix) -> dict:
     """Inverse of matrix_from_json_obj."""
     obj = {"n": m.n, "field": "Q" if m.field == "Q" else "Fp"}
@@ -245,8 +285,8 @@ def test_matrix_json_roundtrip(field):
 
 class object_eval_context:
     """EvalContext computing on Fraction/Fp objects throughout: word
-    products by ExactMatrix multiplication, sigma_t lists by `_sigmas` over
-    the field elements.  The oracle for the int layer."""
+    products by `object_product`, sigma_t lists by `_sigmas` over the field
+    elements.  The oracle for the int layer."""
 
     def __init__(self, assignment: dict[int, ExactMatrix]):
         if not assignment:
@@ -258,10 +298,10 @@ class object_eval_context:
         self.assignment = dict(assignment)
         self.n = sizes.pop()
         self.field = fields.pop()
-        self._words: dict[tuple, ExactMatrix] = {}
+        self._words: dict[tuple, list] = {}
         self._sigmas: dict[tuple, list] = {}
 
-    def word_matrix(self, w: Word) -> ExactMatrix:
+    def _word_elements(self, w: Word) -> list:
         key = w.key()
         hit = self._words.get(key)
         if hit is not None:
@@ -271,11 +311,15 @@ class object_eval_context:
             m = self.assignment.get(lt.index)
             if m is None:
                 raise ValueError(f"no matrix for letter index {lt.index}")
+            e = elements(m)
             if lt.transposed:
-                m = m.T
-            out = m if out is None else out * m
+                e = [list(col) for col in zip(*e)]
+            out = e if out is None else object_product(out, e)
         self._words[key] = out
         return out
+
+    def word_matrix(self, w: Word) -> ExactMatrix:
+        return ExactMatrix(self._word_elements(w), self.field)
 
     def sigma(self, t: int, w: Word):
         if t < 0:
@@ -283,8 +327,7 @@ class object_eval_context:
         key = w.key()
         hit = self._sigmas.get(key)
         if hit is None:
-            m = self.word_matrix(w)
-            hit = self._sigmas[key] = _sigmas(m.rows, as_element(1, m.field))
+            hit = self._sigmas[key] = _sigmas(self._word_elements(w), as_element(1, self.field))
         return hit[t] if t <= self.n else as_element(0, self.field)
 
     def eval_poly(self, p: SigmaPoly):

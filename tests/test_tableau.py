@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -124,7 +125,8 @@ def test_apply_tau_moves_only_second_column():
 
 
 def trace(m: ExactMatrix):
-    return sum((m.rows[i][i] for i in range(m.n)), as_element(0, m.field))
+    """Sum of the diagonal as Fraction/Fp objects."""
+    return sum((as_element(m.rows[i][i], m.field) for i in range(m.n)), as_element(0, m.field))
 
 
 def test_bpf_trace_and_det():
@@ -174,7 +176,8 @@ def test_bpf_pfaffian_matches_permutation_sum(t, r, field):
     for seed in (110, 120):
         mats = seeded_mats(T.n, seed, field)
         want = _bpf_permutation_sum(T, mats, "restricted", field)
-        assert bpf(T, mats) == want
+        got = bpf(T, mats)
+        assert got == want and type(got) is type(want) is type(as_element(0, field))
 
 
 def test_bpf_pfaffian_matches_permutation_sum_n6():
@@ -193,6 +196,16 @@ def test_bpf_pfaffian_matches_sigma_tr_n7(t, r, field):
 
 def _must_not_run(*args):
     raise AssertionError("bpf took the wrong path")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bpf_form_q_refuses_vanishing_factorial(monkeypatch, p):
+    """1/p! has no value mod p: the "Q" form refuses before summing, so it
+    never cancels the divisor against the total."""
+    monkeypatch.setattr(tableau, "permutations", _must_not_run)
+    message = f"^denominator of 1/{factorial(p)} vanishes mod {p}$"
+    with pytest.raises(ZeroDivisionError, match=message):
+        bpf(build_T(p, 0), {1: random_matrix(p, 180, field=p)}, form="Q", allow_large=True)
 
 
 def test_bpf_routes_T_to_pfaffian(monkeypatch):
