@@ -26,8 +26,10 @@ matrix once per (n, d), with the same division-free kernel that evaluates
 exact matrices (matrices._sigmas), and shares them across every relation of
 the process.  A relation is then a linear combination of the generic images
 of its sigma-monomials; each distinct monomial's image is expanded once per
-(n, d), shared across the process, and verify_exact only sums coefficient
-times image term by term.
+(n, d), shared across the process, and kept as (exponent id, coefficient)
+pairs: a process-wide table numbers the exponent tuples of the generic
+variables, so verify_exact only sums coefficient times image term by term
+into a dict with int keys.
 """
 
 from __future__ import annotations
@@ -284,20 +286,27 @@ def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
 
 
 # (n, d, monomial) -> terms of the generic image of that sigma-monomial, the
-# product of its _generic_sigma factors.  Relations share few distinct
-# monomials, so each image is expanded once per process; the exact caps bound
-# the number of keys.
-_generic_monomial_memo: dict[tuple, dict] = {}
+# product of its _generic_sigma factors, as (exponent id, coefficient) pairs.
+# Relations share few distinct monomials, so each image is expanded once per
+# process; the exact caps bound the number of keys.
+_generic_monomial_memo: dict[tuple, list[tuple[int, int | Fraction]]] = {}
+
+# Exponent tuple -> its id, one table per process.  Tuples over different
+# numbers of variables differ, so the ids of different (n, d) never collide.
+_exponent_ids: dict[tuple[int, ...], int] = {}
 
 
-def _generic_monomial(n: int, d: int, mono: Monomial) -> dict:
+def _generic_monomial(n: int, d: int, mono: Monomial) -> list[tuple[int, int | Fraction]]:
     key = (n, d, mono)
     hit = _generic_monomial_memo.get(key)
     if hit is None:
         image = MultiPoly.const(d * n * n, 1)
         for g in mono:
             image = image * _generic_sigma(n, d, g.t, g.cycle)
-        hit = _generic_monomial_memo[key] = image.terms
+        ids = _exponent_ids
+        hit = _generic_monomial_memo[key] = [
+            (ids.setdefault(e, len(ids)), c) for e, c in image.terms.items()
+        ]
     return hit
 
 
@@ -314,12 +323,11 @@ def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
     _check_exact_size(n, d)
     if poly_degree(poly) > EXACT_MAX_DEGREE:
         raise ValueError(f"exact mode is capped at degree {EXACT_MAX_DEGREE}")
-    total: dict = {}
+    total: dict[int, int | Fraction] = {}
+    get = total.get
     for mono, coeff in poly.monomials.items():
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        for e, c in _generic_monomial(n, d, mono).items():
-            total[e] = total.get(e, 0) + coeff * c
+        for e, c in _generic_monomial(n, d, mono):
+            total[e] = get(e, 0) + coeff * c
     return not any(total.values())
 
 

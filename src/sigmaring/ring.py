@@ -3,7 +3,9 @@
 Generators are pairs (t, cycle) with t >= 1 and cycle the canonical
 representative of an equivalence class of primitive words; s_0 is the ring
 unit and is never stored.  A polynomial is a sparse map from monomials
-(sorted tuples of generators) to nonzero rational coefficients.
+(sorted tuples of generators) to nonzero rational coefficients, each an
+int where it is integral, else a Fraction, so the integer polynomials that
+make up almost all of the ring never pay for rational arithmetic.
 
 The rewriting map from formal s_t(linear combination) expressions into this
 ring applies, in order: expansion of s_t over sums (the sum of the partial
@@ -12,16 +14,22 @@ extraction of scalar coefficients as t-th powers, reduction of s_t(w^e)
 through the power formula, and canonicalization of every cycle under
 rotation and transpose.
 
-Substitution replaces letters by linear combinations of words.  When every
-value is a single word with coefficient 1, as for every relation generator
-and every certificate replay, the image of s_t(cycle) is s_t of one word:
-the letters of the assigned words (transposed and reversed for a transposed
-letter) are concatenated, and s_t of that word is memoized for the process,
-as one generator when the word is primitive and as its power_reduce
-polynomial otherwise.  Such substitutions build no LinComb, and an image
-that is one generator joins the monomial as is: only polynomial images are
-multiplied out.  Any other assignment normalizes the LinComb image of each
-generator and multiplies it out.
+Substitution replaces letters by linear combinations of words.  It works
+from a plan of the substituted polynomial: its distinct cycles, its
+distinct generators, and each monomial as a coefficient with the numbers of
+its generators.  A cached sigma_partial base keeps its plan from its first
+substitution on; any other polynomial is compiled per call.  A call builds one image per distinct
+cycle and one per distinct generator.  When every value is a single word
+with coefficient 1, as for every relation generator and every certificate
+replay, the image of s_t(cycle) is s_t of one word: the letters of the
+assigned words (transposed and reversed for a transposed letter) are
+concatenated, and s_t of that word is memoized for the process, as one
+generator when the word is primitive and as its power_reduce polynomial
+otherwise.  Such substitutions build no LinComb, and an image that is one
+generator joins the monomial as is: only polynomial images are multiplied
+out.  Any other assignment normalizes the LinComb image of each generator
+and multiplies it out.  Images are built on generator keys (SigmaGen.key),
+so monomials sort and hash as plain tuples until the result is assembled.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .words import (
     canonicalize,
     mdeg_map,
     parse_word,
+    transpose_letters,
     word_text,
 )
 
@@ -67,6 +76,7 @@ def make_gen(t: int, cycle: Word) -> SigmaGen:
 
 
 Monomial = tuple[SigmaGen, ...]
+Coeff = int | Fraction
 
 
 def _mono_sorted(gens: Iterable[SigmaGen]) -> Monomial:
@@ -77,19 +87,24 @@ def _mono_key(m: Monomial) -> tuple:
     return (sum(g.degree for g in m), tuple(g.key() for g in m))
 
 
-def _add_into(acc: dict[Monomial, Fraction], p: "SigmaPoly") -> None:
+def _int_if_integral(c):
+    """c as an int when it is integral, else c: the coefficient form."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _add_into(acc: dict[Monomial, Coeff], p: "SigmaPoly") -> None:
     """acc += p in place.  A monomial that cancels is dropped, so a sum
     accumulated here keeps the monomial order of a chain of `+`."""
     for m, c in p.monomials.items():
         _add_term(acc, m, c)
 
 
-def _add_term(acc: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+def _add_term(acc: dict[tuple, Coeff], m: tuple, c: Coeff) -> None:
     old = acc.get(m)
     if old is None:
         acc[m] = c
         return
-    c += old
+    c = _int_if_integral(c + old)
     if c:
         acc[m] = c
     else:
@@ -97,22 +112,28 @@ def _add_term(acc: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
 
 
 class SigmaPoly:
-    """Sparse commutative polynomial in sigma generators over Q."""
+    """Sparse commutative polynomial in sigma generators over Q.
 
-    __slots__ = ("monomials",)
+    Each coefficient is an int where it is integral, else a Fraction; the
+    two forms compare and hash alike, so only the type tells them apart.
+    A cached sigma_partial base, which is substituted into many times,
+    keeps its compiled substitution plan in _plan (see _keep_plan)."""
 
-    def __init__(self, monomials: dict[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    __slots__ = ("monomials", "_plan")
+
+    def __init__(self, monomials: dict[Monomial, Coeff] | None = None):
+        clean: dict[Monomial, Coeff] = {}
         for m, c in (monomials or {}).items():
-            c = Fraction(c)
+            c = _int_if_integral(c if type(c) is int else Fraction(c))
             if c:
                 clean[_mono_sorted(m)] = c
         object.__setattr__(self, "monomials", clean)
 
     @classmethod
-    def _of_clean(cls, monomials: dict[Monomial, Fraction]) -> "SigmaPoly":
+    def _of_clean(cls, monomials: dict[Monomial, Coeff]) -> "SigmaPoly":
         """Wraps a dict that is already clean: sorted monomials and nonzero
-        Fraction coefficients.  The dict is taken over, not copied."""
+        coefficients, each an int where integral, else a Fraction.  The
+        dict is taken over, not copied."""
         p = object.__new__(cls)
         object.__setattr__(p, "monomials", monomials)
         return p
@@ -126,15 +147,15 @@ class SigmaPoly:
 
     @classmethod
     def one(cls) -> "SigmaPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def scalar(cls, c) -> "SigmaPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def from_gen(cls, gen: SigmaGen, coeff=1) -> "SigmaPoly":
-        return cls({(gen,): Fraction(coeff)})
+        return cls({(gen,): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.monomials)
@@ -157,18 +178,20 @@ class SigmaPoly:
         return (-1) * self
 
     def __rmul__(self, scalar) -> "SigmaPoly":
-        s = Fraction(scalar)
+        s = _int_if_integral(scalar if type(scalar) is int else Fraction(scalar))
         if not s:
             return SigmaPoly()
-        return SigmaPoly._of_clean({m: s * c for m, c in self.monomials.items()})
+        return SigmaPoly._of_clean(
+            {m: _int_if_integral(s * c) for m, c in self.monomials.items()}
+        )
 
     def __mul__(self, other: "SigmaPoly") -> "SigmaPoly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for m1, c1 in self.monomials.items():
             for m2, c2 in other.monomials.items():
                 m = _mono_sorted(m1 + m2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return SigmaPoly._of_clean({m: c for m, c in out.items() if c})
+        return SigmaPoly._of_clean({m: _int_if_integral(c) for m, c in out.items() if c})
 
     def __pow__(self, k: int) -> "SigmaPoly":
         if k < 0:
@@ -182,15 +205,8 @@ class SigmaPoly:
         d = max((lt.index for m in self.monomials for g in m for lt in g.cycle), default=1)
         return f"SigmaPoly({poly_text(self, Naming.generic(d, 'g'))})"
 
-    def sorted_monomials(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_monomials(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.monomials.items(), key=lambda it: _mono_key(it[0]))
-
-    def indices(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.monomials:
-            for g in m:
-                out |= g.cycle.indices()
-        return out
 
     def mdeg_of(self, m: Monomial) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -213,10 +229,10 @@ def sigma_of_word(t: int, w: Word) -> SigmaPoly:
         return SigmaPoly.from_gen(SigmaGen(t, root))
     # s_t(u^e) rewritten in s_1(u)..s_{te}(u)
     reduced = power_reduce(t, e)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for m, c in reduced.monomials.items():
         gens = _mono_sorted(SigmaGen(g.t, root) for g in m)
-        out[gens] = out.get(gens, Fraction(0)) + c
+        out[gens] = out.get(gens, 0) + c
     return SigmaPoly(out)
 
 
@@ -238,7 +254,7 @@ _power_memo: dict[tuple[int, int], SigmaPoly] = {}
 
 def _alternating_sum(terms: list[SigmaPoly]) -> SigmaPoly:
     """terms[0] - terms[1] + terms[2] - ..."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Coeff] = {}
     for i, term in enumerate(terms):
         _add_into(acc, -term if i % 2 else term)
     return SigmaPoly._of_clean(acc)
@@ -267,7 +283,7 @@ def power_reduce(t: int, l: int) -> SigmaPoly:
     result = powered[t]
 
     for c in result.monomials.values():
-        assert c.denominator == 1
+        assert type(c) is int
     _power_memo[(t, l)] = result
     return result
 
@@ -297,7 +313,7 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
         return SigmaPoly.zero()
     assignment = {i + 1: LinComb.of(w, c) for i, (c, w) in enumerate(nonzero)}
     p = len(nonzero)
-    total: dict[Monomial, Fraction] = {}
+    total: dict[Monomial, Coeff] = {}
     # A composition of t into p parts is a choice of p - 1 bars among
     # t + p - 1 slots; part i is the gap between bars i and i + 1.
     for bars in itertools.combinations(range(t + p - 1), p - 1):
@@ -357,23 +373,92 @@ def _assigned_words(assignment: dict[int, LinComb]) -> dict[Letter, tuple[Letter
         if c != 1:
             return None
         words[Letter(i)] = w.letters
-        words[Letter(i, True)] = w.T.letters
+        words[Letter(i, True)] = transpose_letters(w.letters)
     return words
 
 
-# (t, letters of a word) -> s_t of the word: the one generator s_t(root) when
-# the word is primitive, else its power_reduce polynomial.  Shared by every
-# substitute call of the process, like _normalize_memo.
-_word_sigma_memo: dict[tuple[int, tuple[Letter, ...]], SigmaGen | SigmaPoly] = {}
+# Substitution works from a plan of its base polynomial and from images on
+# generator keys: a monomial is the sorted tuple of the keys of its
+# generators, which sorts and hashes in C, and _gen_of_key turns keys back
+# into generators once per monomial of the result.  A keyed polynomial is
+# the list of its (key monomial, coefficient) pairs, in monomial order.
+
+# SigmaGen.key() -> the generator, for every generator of a keyed image.
+_gen_of_key: dict[tuple, SigmaGen] = {}
 
 
-def _word_sigma(t: int, letters: tuple[Letter, ...]) -> SigmaGen | SigmaPoly:
+def _gen_key(g: SigmaGen) -> tuple:
+    key = g.key()
+    _gen_of_key.setdefault(key, g)
+    return key
+
+
+def _keyed(p: SigmaPoly) -> list[tuple[tuple, Coeff]]:
+    return [(tuple([_gen_key(g) for g in m]), c) for m, c in p.monomials.items()]
+
+
+class _Plan(NamedTuple):
+    """A polynomial compiled for substitution: its letter indices, its
+    distinct cycles, its distinct generators as (t, cycle number), and its
+    monomials as (coefficient, generator numbers), in monomial order."""
+
+    indices: frozenset[int]
+    cycles: tuple[Word, ...]
+    gens: tuple[tuple[int, int], ...]
+    monos: tuple[tuple[Coeff, tuple[int, ...]], ...]
+
+
+def _compile(p: SigmaPoly) -> _Plan:
+    cycles: dict[Word, int] = {}
+    gens: dict[SigmaGen, int] = {}
+    monos = []
+    for m, c in p.monomials.items():
+        for g in m:
+            if g not in gens:
+                gens[g] = len(gens)
+                cycles.setdefault(g.cycle, len(cycles))
+        monos.append((c, tuple([gens[g] for g in m])))
+    return _Plan(
+        frozenset(lt.index for w in cycles for lt in w),
+        tuple(cycles),
+        tuple((g.t, cycles[g.cycle]) for g in gens),
+        tuple(monos),
+    )
+
+
+def _keep_plan(p: SigmaPoly) -> SigmaPoly:
+    """Marks p, a cached polynomial that may be substituted into many
+    times, to keep the plan that its first substitution compiles.  Any
+    other polynomial is compiled per call, and one that is never
+    substituted into is never compiled."""
+    object.__setattr__(p, "_plan", None)
+    return p
+
+
+def _plan_of(p: SigmaPoly) -> _Plan:
+    plan = getattr(p, "_plan", False)  # False: not kept; None: not compiled yet
+    if not plan:
+        keep = plan is None
+        plan = _compile(p)
+        if keep:
+            object.__setattr__(p, "_plan", plan)
+    return plan
+
+
+# (t, letters of a word) -> s_t of the word on keys: the key of s_t(root)
+# when the word is primitive, else its keyed power_reduce polynomial (a
+# list).  Shared by every substitute call of the process, like
+# _normalize_memo.
+_word_sigma_memo: dict[tuple[int, tuple[Letter, ...]], tuple | list] = {}
+
+
+def _word_sigma(t: int, letters: tuple[Letter, ...]) -> tuple | list:
     key = (t, letters)
     hit = _word_sigma_memo.get(key)
     if hit is None:
         w = Word(letters)
         root, e = canonicalize(w)
-        hit = SigmaGen(t, root) if e == 1 else sigma_of_word(t, w)
+        hit = _gen_key(SigmaGen(t, root)) if e == 1 else _keyed(sigma_of_word(t, w))
         _word_sigma_memo[key] = hit
     return hit
 
@@ -381,38 +466,48 @@ def _word_sigma(t: int, letters: tuple[Letter, ...]) -> SigmaGen | SigmaPoly:
 def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
     """Replace every letter by a linear combination of words; transposed
     letters receive the involuted image.  Fully renormalized."""
-    missing = p.indices() - set(assignment)
+    plan = _plan_of(p)
+    missing = plan.indices.difference(assignment)
     if missing:
         raise ValueError(f"no assignment for letter indices {sorted(missing)}")
     words = _assigned_words(assignment)
-    images: dict[SigmaGen, SigmaGen | SigmaPoly] = {}
-    out: dict[Monomial, Fraction] = {}
-    for m, c in p.monomials.items():
-        gens: list[SigmaGen] = []
-        polys: list[SigmaPoly] = []
-        for g in m:
-            img = images.get(g)
-            if img is None:
-                if words is None:
-                    img = normalize(g.t, _word_image(g.cycle, assignment))
-                else:
-                    img = _word_sigma(g.t, tuple(x for lt in g.cycle for x in words[lt]))
-                images[g] = img
-            if type(img) is SigmaGen:
-                gens.append(img)
+    if words is None:
+        cycle_images = [_word_image(w, assignment) for w in plan.cycles]
+        images = [_keyed(normalize(t, cycle_images[i])) for t, i in plan.gens]
+    else:
+        cycle_images = [
+            tuple(itertools.chain.from_iterable(map(words.__getitem__, w.letters)))
+            for w in plan.cycles
+        ]
+        images = [_word_sigma(t, cycle_images[i]) for t, i in plan.gens]
+    out: dict[tuple, Coeff] = {}
+    for c, numbers in plan.monos:
+        keys = []
+        polys = []
+        for i in numbers:
+            img = images[i]
+            if type(img) is tuple:
+                keys.append(img)
             else:
                 polys.append(img)
         if not polys:
-            _add_term(out, _mono_sorted(gens), c)
+            _add_term(out, tuple(sorted(keys)), c)
             continue
-        # A generator factor maps monomials one to one, so multiplying the
-        # polynomial images first keeps the monomial order of the product.
-        term = SigmaPoly._of_clean({(): c})
+        # Multiply out the polynomial images one at a time, dropping what
+        # cancels after each, as SigmaPoly.__mul__ does; a generator factor
+        # maps monomials one to one, so it joins from the start.
+        term = {tuple(sorted(keys)): c}
         for img in polys:
-            term = term * img
-        for tm, tc in term.monomials.items():
-            _add_term(out, _mono_sorted(tm + tuple(gens)), tc)
-    return SigmaPoly._of_clean(out)
+            product: dict[tuple, Coeff] = {}
+            for m1, c1 in term.items():
+                for m2, c2 in img:
+                    m = tuple(sorted(m1 + m2))
+                    product[m] = product.get(m, 0) + c1 * c2
+            term = {m: v for m, v in product.items() if v}
+        for m, v in term.items():
+            _add_term(out, m, _int_if_integral(v))
+    gen_of = _gen_of_key
+    return SigmaPoly._of_clean({tuple([gen_of[k] for k in m]): c for m, c in out.items()})
 
 
 def lin(p: SigmaPoly, d: int) -> SigmaPoly:
@@ -438,7 +533,7 @@ def lin(p: SigmaPoly, d: int) -> SigmaPoly:
     wanted = {
         i + j * d for i, ti in counts.items() for j in range(ti)
     }
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for m, c in expanded.monomials.items():
         md = expanded.mdeg_of(m)
         if all(md.get(i, 0) == 1 for i in wanted) and set(md) <= wanted:
@@ -506,7 +601,7 @@ def parse_poly(text: str, naming: Naming) -> SigmaPoly:
     text = text.strip()
     if text == "0":
         return SigmaPoly.zero()
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for sign, chunk in _split_terms(text):
         coeff = Fraction(sign)
         gens: list[SigmaGen] = []

@@ -21,10 +21,8 @@ three-letter case x, y, z are letters 1, 2, 3.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .quiver import Quiver, index_sets
-from .ring import SigmaGen, SigmaPoly, substitute
+from .ring import SigmaGen, SigmaPoly, _keep_plan, substitute
 from .words import LinComb
 
 DEGREE_GUARD = 10
@@ -33,12 +31,12 @@ _cache: dict[tuple, SigmaPoly] = {}
 
 
 def _signed_sum(q: Quiver, target: dict[int, int], base_exp: int) -> SigmaPoly:
-    total: dict[tuple, Fraction] = {}
+    total: dict[tuple, int] = {}
     for sel in index_sets(q, target):
         xi = base_exp + sum(j * (c.deg_y + c.deg_z + 1) for j, c in sel)
         gens = tuple(sorted((SigmaGen(j, c.word) for j, c in sel), key=SigmaGen.key))
         total[gens] = total.get(gens, 0) + (-1) ** xi
-    return SigmaPoly._of_clean({m: Fraction(c) for m, c in total.items() if c})
+    return SigmaPoly._of_clean({m: c for m, c in total.items() if c})
 
 
 def sigma_partial(
@@ -65,8 +63,7 @@ def sigma_partial(
     u, v, w = len(ts), len(rs), len(ss)
     q = Quiver(u, v, w)
     target = {i + 1: k for i, k in enumerate(ts + rs + ss)}
-    result = _signed_sum(q, target, sum(ts))
-    _cache[key] = result
+    result = _cache[key] = _keep_plan(_signed_sum(q, target, sum(ts)))
     return result
 
 

@@ -310,6 +310,7 @@ def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
     # either d.
     monkeypatch.setattr(relations, "_generic_sigma_memo", {})
     monkeypatch.setattr(relations, "_generic_monomial_memo", {})
+    monkeypatch.setattr(relations, "_exponent_ids", {})
     polys = [(r.poly, 1) for r in take_o(1, 1, 3)[::3]]
     polys += [(r.poly, 2) for r in take_o(1, 2, 3)[::40]]
     configs = [
@@ -325,6 +326,10 @@ def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
             assert verify_exact(*c) == want, c[1:]
         configs.reverse()
         verdicts.reverse()
+    # one id per exponent tuple, over every (n, d) checked
+    ids = relations._exponent_ids
+    assert {len(e) for e in ids} == {n * n * d for n in (1, 2) for d in (1, 2)}
+    assert sorted(ids.values()) == list(range(len(ids)))
 
 
 def test_verify_exact_non_integral_coefficients():

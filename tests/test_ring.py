@@ -27,7 +27,16 @@ from sigmaring.ring import (
     substitute,
 )
 from sigmaring.sigmatr import sigma_partial
-from sigmaring.words import Letter, LinComb, Naming, Word, _period, is_primitive, parse_word
+from sigmaring.words import (
+    Letter,
+    LinComb,
+    Naming,
+    Word,
+    _period,
+    canonicalize,
+    is_primitive,
+    parse_word,
+)
 
 A_ = Naming.single("a")
 XYZ = Naming.xyz(1, 1, 1)
@@ -311,10 +320,14 @@ def test_substitute_respects_transpose():
     assert q == sigma_of_word(1, W((1, False), (2, False), (2, True)))
 
 
+def letter_indices(p):
+    return {lt.index for m in p.monomials for g in m for lt in g.cycle}
+
+
 def general_substitute_oracle(p, assignment):
     """substitute as it was before word-level images: every generator image
     is normalized from its LinComb image and multiplied in as a polynomial."""
-    missing = p.indices() - set(assignment)
+    missing = letter_indices(p) - set(assignment)
     if missing:
         raise ValueError(f"no assignment for letter indices {sorted(missing)}")
     gen_cache = {}
@@ -337,6 +350,77 @@ def general_substitute_oracle(p, assignment):
             else:
                 out.pop(tm, None)
     return SigmaPoly(out)
+
+
+def _oracle_word_sigma(t, letters):
+    w = Word(letters)
+    root, e = canonicalize(w)
+    return SigmaGen(t, root) if e == 1 else sigma_of_word(t, w)
+
+
+def word_substitute_oracle(p, assignment):
+    """substitute as it was before substitution plans: a per-call images
+    dict, one generator or one SigmaPoly per image, and SigmaPoly.__mul__
+    on the polynomial images."""
+    missing = letter_indices(p) - set(assignment)
+    if missing:
+        raise ValueError(f"no assignment for letter indices {sorted(missing)}")
+    words = {}
+    for i, lc in assignment.items():
+        if len(lc.terms) != 1:
+            words = None
+            break
+        ((w, c),) = lc.terms.items()
+        if c != 1:
+            words = None
+            break
+        words[Letter(i)] = w.letters
+        words[Letter(i, True)] = w.T.letters
+    images = {}
+    out = {}
+    for m, c in p.monomials.items():
+        gens = []
+        polys = []
+        for g in m:
+            img = images.get(g)
+            if img is None:
+                if words is None:
+                    img = normalize(g.t, ring._word_image(g.cycle, assignment))
+                else:
+                    img = _oracle_word_sigma(g.t, tuple(x for lt in g.cycle for x in words[lt]))
+                images[g] = img
+            if type(img) is SigmaGen:
+                gens.append(img)
+            else:
+                polys.append(img)
+        if not polys:
+            ring._add_term(out, ring._mono_sorted(gens), c)
+            continue
+        term = SigmaPoly._of_clean({(): c})
+        for img in polys:
+            term = term * img
+        for tm, tc in term.monomials.items():
+            ring._add_term(out, ring._mono_sorted(tm + tuple(gens)), tc)
+    return SigmaPoly._of_clean(out)
+
+
+def typed_items(p):
+    """The monomials of p in order, with each coefficient's type."""
+    return [(m, c, type(c)) for m, c in p.monomials.items()]
+
+
+@pytest.mark.parametrize(
+    "n,d,budget,max_word_len", [(1, 1, 5, 2), (2, 1, 4, 3), (2, 2, 4, 2), (3, 2, 4, 2)]
+)
+def test_substitute_matches_word_oracle_on_relations(n, d, budget, max_word_len):
+    """Monomial order and coefficient types included; the (1,1,5) images
+    are mostly proper powers, several to a monomial."""
+    naming = Naming.generic(d)
+    for rel in o_relation_generators(n, d, budget, max_word_len):
+        words = [parse_word(f"[{w}]", naming) for w in rel.words]
+        assignment = {i + 1: LinComb.of(w) for i, w in enumerate(words)}
+        want = word_substitute_oracle(sigma_partial(rel.ts, rel.rs, rel.ss), assignment)
+        assert typed_items(rel.poly) == typed_items(want), rel.describe()
 
 
 @pytest.mark.parametrize(
@@ -392,6 +476,7 @@ def test_substitute_matches_general_oracle(shape, words, coeffs, unit):
     got = substitute(base, assignment)
     want = general_substitute_oracle(base, assignment)
     assert list(got.monomials.items()) == list(want.monomials.items())
+    assert typed_items(got) == typed_items(word_substitute_oracle(base, assignment))
 
 
 sigma_polys = st.lists(
@@ -485,3 +570,77 @@ def test_poly_json_roundtrip():
     p = Fraction(5, 3) * sigma_of_word(2, W((1, False))) - SigmaPoly.one()
     obj = poly_json_obj(p, XYZ)
     assert poly_from_json_obj(obj, XYZ) == p
+
+
+def test_coefficients_are_int_where_integral():
+    from sigmaring.sigmatr import sigma_lin
+
+    polys = [sigma_partial(*shape) for shape in SMALL_SHAPES]
+    polys += [power_reduce(t, l) for t in range(1, 9) for l in range(1, 9) if t * l <= 8]
+    polys.append(sigma_lin(2, 2))
+    polys += [rel.poly for rel in o_relation_generators(2, 2, 4)]
+    for p in polys:
+        assert all(type(c) is int for c in p.monomials.values()), p
+    naming = Naming.generic(2)
+    half = Fraction(1, 2) * sigma_partial(*SMALL_SHAPES[0])
+    assert all(type(c) is Fraction for c in half.monomials.values())
+    (c,) = parse_poly("1/2*tr[x1]", naming).monomials.values()
+    assert c == Fraction(1, 2) and type(c) is Fraction
+    g = SigmaGen(1, W((1, False)))
+    (c,) = SigmaPoly({(g,): Fraction(4, 2)}).monomials.values()
+    assert c == 2 and type(c) is int
+    assert 2 * half == sigma_partial(*SMALL_SHAPES[0])
+    assert all(type(c) is int for c in (2 * half).monomials.values())
+    # the same polynomial built from ints and from Fractions
+    for p in polys[:3]:
+        q = SigmaPoly({m: Fraction(c) for m, c in p.monomials.items()})
+        r = SigmaPoly._of_clean({m: Fraction(c) for m, c in p.monomials.items()})
+        assert p == q == r and hash(p) == hash(q) == hash(r)
+
+
+def test_uncached_polynomials_keep_no_plan():
+    """A plan is kept only on the cached sigma_partial bases, compiled by
+    their first substitution; lin and substitute compile one per call for
+    any other polynomial and keep none, so no module table grows on a
+    repeated call."""
+    from sigmaring import sigmatr
+
+    naming = Naming.generic(2)
+    text = "s2[x1]*tr[x2] - tr[x1 x1 x2] + 3*tr[x1]^2*tr[x2]"
+    assignment = {1: LinComb.of(W((1, False), (2, False))), 2: LinComb.of(W((2, True)))}
+    lin(parse_poly(text, naming), 2)  # warms the memos that both calls use
+    substitute(parse_poly(text, naming), assignment)
+
+    def table_sizes():
+        return {
+            (mod.__name__, name): len(value)
+            for mod in (ring, sigmatr)
+            for name, value in vars(mod).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        }
+
+    before = table_sizes()
+    p = parse_poly(text, naming)
+    lin(p, 2)
+    substitute(p, assignment)
+    assert table_sizes() == before
+    assert not hasattr(p, "_plan")
+    base = sigma_partial((1,), (2,), (1, 1))
+    assert all(hasattr(q, "_plan") for q in sigmatr._cache.values())
+    substitute(base, {i: LinComb.of(W((i, False))) for i in range(1, 5)})
+    plan = base._plan
+    assert plan is not None
+    substitute(base, {i: LinComb.of(W((i, True))) for i in range(1, 5)})
+    assert base._plan is plan
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_substitute_missing_letter_message(cached):
+    base = sigma_partial((1,), (1,), (1,))
+    p = base if cached else parse_poly(poly_text(base, XYZ), XYZ)
+    assert hasattr(p, "_plan") is cached
+    x = LinComb.of(W((1, False)))
+    with pytest.raises(ValueError, match=r"^no assignment for letter indices \[2\]$"):
+        substitute(p, {1: x, 3: x})
+    with pytest.raises(ValueError, match=r"^no assignment for letter indices \[2, 3\]$"):
+        substitute(p, {1: x, 4: x})
