@@ -9,12 +9,16 @@ matrices or exactly on generic matrix entries, and serializes replayable
 certificates.
 
 The x, y and z blocks of an o-generator are multisets of (degree, word)
-slots.  Each o_relation_generators call enumerates them once, within the
-whole budget, and serves every block from that list: a smaller budget
-takes the multisets whose weight fits, in the same order, and the z block
-takes only those whose degree sum is r.  The polynomial of each generator
-substitutes its single-word arguments into the cached sigma_{tbar,rbar,sbar}
-at word level (ring.substitute), so generation costs about what it emits.
+slots.  Each o_relation_generators call builds each word's argument and
+text once, enumerates the multisets once, within the whole budget, and
+serves every block from that list: a smaller budget takes the multisets
+whose weight fits, in the same order, and the z block takes only those
+whose degree sum is r.  The enumeration visits only slots that fit the
+remaining budget.  The polynomial of each generator substitutes its
+single-word arguments into the cached sigma_{tbar,rbar,sbar} at word level
+(ring.substitute), which records its degree, the weight of its slots, so
+generation costs about what it emits and poly_degree reads the degree
+without walking the monomials.
 
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
@@ -26,17 +30,27 @@ matrix once per (n, d), with the same division-free kernel that evaluates
 exact matrices (matrices._sigmas), and shares them across every relation of
 the process.  A relation is then a linear combination of the generic images
 of its sigma-monomials; each distinct monomial's image is expanded once per
-(n, d), shared across the process, and kept as (exponent id, coefficient)
-pairs: a process-wide table numbers the exponent tuples of the generic
-variables, so verify_exact only sums coefficient times image term by term
-into a dict with int keys.
+(n, d), shared across the process, and kept packed into one int (Kronecker
+substitution): a process-wide table numbers the exponent tuples of the
+generic variables, and the coefficient of exponent id i fills a signed
+field of W bits at bit W * i.  The image keeps its height, the largest
+|coefficient|, beside it.  verify_exact scales the coefficients of a
+relation to ints, since a rational sum could cancel across fields, and
+sums coefficient times packed image.  A nonzero sum proves that the
+relation does not vanish.  A zero sum proves that it does once
+sum |coefficient| * height < 2^(W - 1): that bounds every field of the
+true sum, and fields so bounded pack to 0 only when all of them are 0.
+Otherwise the sum is redone from fresh expansions at a width where the
+bound holds.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -72,7 +86,13 @@ class Relation:
 
 
 def poly_degree(p: SigmaPoly) -> int:
-    return max((sum(g.degree for g in m) for m in p.monomials), default=0)
+    """The largest degree of a monomial of p, 0 for the zero polynomial.
+    A result of ring.substitute that recorded its degree answers in O(1);
+    any other polynomial walks its monomials."""
+    degree = getattr(p, "_degree", None)
+    if degree is None:
+        degree = max((sum(g.degree for g in m) for m in p.monomials), default=0)
+    return degree
 
 
 def enumerate_words(d: int, max_len: int, transposes: bool = True) -> list[Word]:
@@ -86,20 +106,27 @@ def enumerate_words(d: int, max_len: int, transposes: bool = True) -> list[Word]
 
 
 def _slot_multisets(slots, budget: int):
-    """Multisets of (degree, word) slots with total degree * len(word)
-    weight <= budget; slots arrive sorted, output is nondecreasing."""
+    """Multisets of slots (degree, word, ...) with total degree * len(word)
+    weight <= budget, as lists of slots; slots arrive sorted, and each list
+    is nondecreasing.
 
-    def rec(i: int, remaining: int, chosen: list):
+    Each slot's cost is computed once.  fits[b] lists, in order, the
+    numbers of the slots that cost at most b, so a node of the search
+    finds its first child by bisection and visits only children that fit:
+    the search costs O(output), not O(nodes * slots)."""
+    costs = [s[0] * len(s[1]) for s in slots]
+    fits = [[j for j, c in enumerate(costs) if c <= b] for b in range(budget + 1)]
+    chosen: list = []
+
+    def rec(i: int, remaining: int):
         yield list(chosen)
-        for j in range(i, len(slots)):
-            deg, w = slots[j]
-            cost = deg * len(w)
-            if cost <= remaining:
-                chosen.append(slots[j])
-                yield from rec(j, remaining - cost, chosen)
-                chosen.pop()
+        fit = fits[remaining]
+        for j in fit[bisect.bisect_left(fit, i):]:
+            chosen.append(slots[j])
+            yield from rec(j, remaining - costs[j])
+            chosen.pop()
 
-    yield from rec(0, budget, [])
+    yield from rec(0, budget)
 
 
 def o_relation_generators(
@@ -116,8 +143,12 @@ def o_relation_generators(
     if max_total_degree is None:
         max_total_degree = n + 4
     naming = Naming.generic(d)
-    words = enumerate_words(d, max_word_len)
-    slots = [(deg, w) for deg in range(1, max_total_degree + 1) for w in words]
+    # A slot is (degree, word, argument, text); each word's argument and
+    # text are built once per call.
+    words = [
+        (w, LinComb.of(w), word_text(w, naming)[1:-1]) for w in enumerate_words(d, max_word_len)
+    ]
+    slots = [(deg, *word) for deg in range(1, max_total_degree + 1) for word in words]
     slots.sort(key=lambda s: (s[0], len(s[1]), s[1].key()))
 
     # One enumeration serves all three blocks.  Weight only grows along the
@@ -127,11 +158,9 @@ def o_relation_generators(
     within: list[list[tuple]] = [[] for _ in range(max_total_degree + 1)]
     z_within: dict[tuple[int, int], list[tuple]] = {}
     for ms in _slot_multisets(slots, max_total_degree):
-        degs = tuple(deg for deg, _ in ms)
-        weight = sum(deg * len(w) for deg, w in ms)
-        args = [LinComb.of(w) for _, w in ms]
-        texts = tuple(word_text(w, naming)[1:-1] for _, w in ms)
-        block = (degs, sum(degs), weight, args, texts)
+        degs = tuple([s[0] for s in ms])
+        weight = sum([s[0] * len(s[1]) for s in ms])
+        block = (degs, sum(degs), weight, [s[2] for s in ms], tuple([s[3] for s in ms]))
         for b in range(weight, max_total_degree + 1):
             within[b].append(block)
             z_within.setdefault((sum(degs), b), []).append(block)
@@ -285,28 +314,44 @@ def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
     return hit[t] if t <= n else MultiPoly.const(nv, 0)
 
 
-# (n, d, monomial) -> terms of the generic image of that sigma-monomial, the
-# product of its _generic_sigma factors, as (exponent id, coefficient) pairs.
-# Relations share few distinct monomials, so each image is expanded once per
-# process; the exact caps bound the number of keys.
-_generic_monomial_memo: dict[tuple, list[tuple[int, int | Fraction]]] = {}
-
 # Exponent tuple -> its id, one table per process.  Tuples over different
 # numbers of variables differ, so the ids of different (n, d) never collide.
 _exponent_ids: dict[tuple[int, ...], int] = {}
 
+# Width in bits of the field of one exponent id in a packed image.
+_FIELD_BITS = 32
 
-def _generic_monomial(n: int, d: int, mono: Monomial) -> list[tuple[int, int | Fraction]]:
+# (n, d, monomial) -> the generic image of that sigma-monomial, the product
+# of its _generic_sigma factors, packed at _FIELD_BITS, and its height.
+# Relations share few distinct monomials, so each image is expanded once
+# per process; the exact caps bound the number of keys.
+_generic_monomial_memo: dict[tuple, tuple[int, int]] = {}
+
+
+def _generic_image(n: int, d: int, mono: Monomial) -> MultiPoly:
+    factors = [_generic_sigma(n, d, g.t, g.cycle) for g in mono]
+    if not factors:
+        return MultiPoly.const(d * n * n, 1)
+    return functools.reduce(operator.mul, factors)
+
+
+def _pack(image: MultiPoly, width: int) -> tuple[int, int]:
+    """(sum of c * 2^(width * id(e)) over the terms c * x^e, the largest
+    |c|): the image as one int with a signed field per exponent id, and
+    its height.  The coefficients of generic images are ints."""
+    ids = _exponent_ids
+    packed = height = 0
+    for e, c in image.terms.items():
+        packed += c << (width * ids.setdefault(e, len(ids)))
+        height = max(height, abs(c))
+    return packed, height
+
+
+def _generic_monomial(n: int, d: int, mono: Monomial) -> tuple[int, int]:
     key = (n, d, mono)
     hit = _generic_monomial_memo.get(key)
     if hit is None:
-        image = MultiPoly.const(d * n * n, 1)
-        for g in mono:
-            image = image * _generic_sigma(n, d, g.t, g.cycle)
-        ids = _exponent_ids
-        hit = _generic_monomial_memo[key] = [
-            (ids.setdefault(e, len(ids)), c) for e, c in image.terms.items()
-        ]
+        hit = _generic_monomial_memo[key] = _pack(_generic_image(n, d, mono), _FIELD_BITS)
     return hit
 
 
@@ -319,16 +364,32 @@ def _check_exact_size(n: int, d: int) -> None:
 
 def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
     """Identically-zero check on generic matrix entries; refuses inputs
-    beyond small hard caps since the expansion is dense."""
+    beyond small hard caps since the expansion is dense.
+
+    Sums coefficient times packed image, the coefficients scaled by the
+    lcm of their denominators to ints; a zero sum counts only under the
+    field bound (see the module docstring), else it is redone wider."""
     _check_exact_size(n, d)
     if poly_degree(poly) > EXACT_MAX_DEGREE:
         raise ValueError(f"exact mode is capped at degree {EXACT_MAX_DEGREE}")
-    total: dict[int, int | Fraction] = {}
-    get = total.get
-    for mono, coeff in poly.monomials.items():
-        for e, c in _generic_monomial(n, d, mono):
-            total[e] = get(e, 0) + coeff * c
-    return not any(total.values())
+    terms = poly.monomials
+    scale = math.lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+    total = bound = 0
+    for mono, c in terms.items():
+        c = (c * scale).numerator
+        packed, height = _generic_monomial(n, d, mono)
+        total += c * packed
+        bound += abs(c) * height
+    if total:
+        return False
+    if bound < 1 << (_FIELD_BITS - 1):
+        return True
+    # A field may have overflowed: redo the sum at a width where none can.
+    width = bound.bit_length() + 1
+    return not sum(
+        (c * scale).numerator * _pack(_generic_image(n, d, mono), width)[0]
+        for mono, c in terms.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +451,18 @@ def write_certificates(certs: list[dict], path: str) -> None:
 
 def _check_certificate(cert) -> None:
     """Raises ValueError unless cert has the JSON types that
-    rebuild_relation and replay_certificate read, with n, d >= 1."""
+    rebuild_relation and replay_certificate read, with n, d >= 1, and the
+    words its shape takes: for a gl certificate one t, no r or s, and one
+    or two words; for an o certificate one word per part of t, r and s."""
 
     def ints(v):
         return isinstance(v, list) and all(type(x) is int for x in v)
+
+    def shape_fits(shape, words):
+        ts, rs, ss = (shape[k] for k in "trs")
+        if cert.get("kind") == "gl":
+            return len(ts) == 1 and not rs and not ss and len(words) in (1, 2)
+        return len(words) == len(ts) + len(rs) + len(ss)
 
     shape = cert.get("shape") if isinstance(cert, dict) else None
     if not (
@@ -402,6 +471,7 @@ def _check_certificate(cert) -> None:
         and all(type(cert.get(k)) is int and cert[k] >= 1 for k in ("n", "d"))
         and isinstance(cert.get("words"), list)
         and all(isinstance(w, str) for w in cert["words"])
+        and shape_fits(shape, cert["words"])
         and (
             cert.get("mode") != "randomized"
             or all(type(cert.get(k)) is int for k in ("trials", "seed"))

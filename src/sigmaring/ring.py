@@ -30,6 +30,14 @@ generator joins the monomial as is: only polynomial images are multiplied
 out.  Any other assignment normalizes the LinComb image of each generator
 and multiplies it out.  Images are built on generator keys (SigmaGen.key),
 so monomials sort and hash as plain tuples until the result is assembled.
+
+The plan also holds the multidegree of the base when all of its monomials
+share one, as every sigma_partial base does.  A single-word substitution
+into such a base is homogeneous of degree sum_i deg_i * len(w_i), where
+deg_i is the degree of the base in letter i and w_i the word assigned to
+it, since s_t(u^e) rewrites into monomials of the same degree; the result
+records that degree, or 0 when it is the zero polynomial, so that
+relations.poly_degree reads it without walking the monomials.
 """
 
 from __future__ import annotations
@@ -117,9 +125,10 @@ class SigmaPoly:
     Each coefficient is an int where it is integral, else a Fraction; the
     two forms compare and hash alike, so only the type tells them apart.
     A cached sigma_partial base, which is substituted into many times,
-    keeps its compiled substitution plan in _plan (see _keep_plan)."""
+    keeps its compiled substitution plan in _plan (see _keep_plan); a
+    result of substitute that knows its degree keeps it in _degree."""
 
-    __slots__ = ("monomials", "_plan")
+    __slots__ = ("monomials", "_plan", "_degree")
 
     def __init__(self, monomials: dict[Monomial, Coeff] | None = None):
         clean: dict[Monomial, Coeff] = {}
@@ -361,10 +370,16 @@ def _word_image(w: Word, assignment: dict[int, LinComb]) -> LinComb:
     return out
 
 
+# Word -> the letters of its transpose, for every word assigned by a
+# single-word substitution of the process.
+_transposed_memo: dict[Word, tuple[Letter, ...]] = {}
+
+
 def _assigned_words(assignment: dict[int, LinComb]) -> dict[Letter, tuple[Letter, ...]] | None:
     """Letter -> letters of its image word when every value is a single
     word with coefficient 1; a transposed letter gets the transposed word.
-    None for any other assignment."""
+    None for any other assignment.  The keys are plain (index, transposed)
+    tuples, which hash and compare like the letters."""
     words: dict[Letter, tuple[Letter, ...]] = {}
     for i, lc in assignment.items():
         if len(lc.terms) != 1:
@@ -372,8 +387,11 @@ def _assigned_words(assignment: dict[int, LinComb]) -> dict[Letter, tuple[Letter
         ((w, c),) = lc.terms.items()
         if c != 1:
             return None
-        words[Letter(i)] = w.letters
-        words[Letter(i, True)] = transpose_letters(w.letters)
+        transposed = _transposed_memo.get(w)
+        if transposed is None:
+            transposed = _transposed_memo[w] = transpose_letters(w.letters)
+        words[i, False] = w.letters
+        words[i, True] = transposed
     return words
 
 
@@ -399,13 +417,25 @@ def _keyed(p: SigmaPoly) -> list[tuple[tuple, Coeff]]:
 
 class _Plan(NamedTuple):
     """A polynomial compiled for substitution: its letter indices, its
-    distinct cycles, its distinct generators as (t, cycle number), and its
-    monomials as (coefficient, generator numbers), in monomial order."""
+    distinct cycles, its distinct generators as (t, cycle number), its
+    monomials as (coefficient, generator numbers), in monomial order, and
+    its multidegree (see _multidegree)."""
 
     indices: frozenset[int]
     cycles: tuple[Word, ...]
     gens: tuple[tuple[int, int], ...]
     monos: tuple[tuple[Coeff, tuple[int, ...]], ...]
+    mdeg: tuple[tuple[int, int], ...] | None
+
+
+def _multidegree(p: SigmaPoly) -> tuple[tuple[int, int], ...] | None:
+    """The multidegree that every monomial of p has, as sorted (letter
+    index, degree) pairs, () for the zero polynomial, and None when two
+    monomials differ."""
+    degs = {tuple(sorted(p.mdeg_of(m).items())) for m in p.monomials}
+    if len(degs) > 1:
+        return None
+    return degs.pop() if degs else ()
 
 
 def _compile(p: SigmaPoly) -> _Plan:
@@ -423,6 +453,7 @@ def _compile(p: SigmaPoly) -> _Plan:
         tuple(cycles),
         tuple((g.t, cycles[g.cycle]) for g in gens),
         tuple(monos),
+        _multidegree(p),
     )
 
 
@@ -475,24 +506,17 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
         cycle_images = [_word_image(w, assignment) for w in plan.cycles]
         images = [_keyed(normalize(t, cycle_images[i])) for t, i in plan.gens]
     else:
-        cycle_images = [
-            tuple(itertools.chain.from_iterable(map(words.__getitem__, w.letters)))
-            for w in plan.cycles
-        ]
+        # cycles are short, so concatenating tuples beats chaining them
+        cycle_images = [sum(map(words.__getitem__, w.letters), ()) for w in plan.cycles]
         images = [_word_sigma(t, cycle_images[i]) for t, i in plan.gens]
+    poly_images = {i for i, img in enumerate(images) if type(img) is list}
     out: dict[tuple, Coeff] = {}
     for c, numbers in plan.monos:
-        keys = []
-        polys = []
-        for i in numbers:
-            img = images[i]
-            if type(img) is tuple:
-                keys.append(img)
-            else:
-                polys.append(img)
-        if not polys:
-            _add_term(out, tuple(sorted(keys)), c)
+        if poly_images.isdisjoint(numbers):
+            _add_term(out, tuple(sorted([images[i] for i in numbers])), c)
             continue
+        keys = [images[i] for i in numbers if i not in poly_images]
+        polys = [images[i] for i in numbers if i in poly_images]
         # Multiply out the polynomial images one at a time, dropping what
         # cancels after each, as SigmaPoly.__mul__ does; a generator factor
         # maps monomials one to one, so it joins from the start.
@@ -507,7 +531,11 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
         for m, v in term.items():
             _add_term(out, m, _int_if_integral(v))
     gen_of = _gen_of_key
-    return SigmaPoly._of_clean({tuple([gen_of[k] for k in m]): c for m, c in out.items()})
+    result = SigmaPoly._of_clean({tuple([gen_of[k] for k in m]): c for m, c in out.items()})
+    if words is not None and plan.mdeg is not None:
+        degree = sum(k * len(words[i, False]) for i, k in plan.mdeg) if out else 0
+        object.__setattr__(result, "_degree", degree)
+    return result
 
 
 def lin(p: SigmaPoly, d: int) -> SigmaPoly:
@@ -518,10 +546,10 @@ def lin(p: SigmaPoly, d: int) -> SigmaPoly:
     """
     if not p:
         return p
-    degs = {tuple(sorted(p.mdeg_of(m).items())) for m in p.monomials}
-    if len(degs) != 1:
+    mdeg = _multidegree(p)
+    if mdeg is None:
         raise ValueError("input is not multidegree-homogeneous")
-    counts = dict(degs.pop())
+    counts = dict(mdeg)
     if any(idx > d for idx in counts):
         raise ValueError(f"letter index exceeds alphabet size {d}")
     assignment = {

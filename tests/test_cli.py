@@ -269,6 +269,7 @@ def test_relations_exact_refuses_sizes_before_generating(capsys, n, d):
 def test_relations_exact_counts_skipped(capsys):
     code, out, _ = run(capsys, "relations", "-n", "2", "-d", "1", "--max-deg", "5",
                        "--verify", "exact", "--limit", "0")
+    assert out == (GOLDEN / "relations_exact_2_1_5.txt").read_text()
     lines = out.splitlines()
     skipped = [s for s in lines if s.startswith("SKIPPED ")]
     assert len(skipped) == 346
@@ -383,6 +384,33 @@ def test_malformed_certificate_file_exits_two(capsys, tmp_path, data):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+GL_CERT = {
+    "version": 1, "kind": "gl", "n": 1, "d": 1,
+    "shape": {"t": [2], "r": [], "s": []}, "words": ["x1"],
+    "mode": "exact", "verified": True,
+}
+
+
+@pytest.mark.parametrize("cert", [
+    {**GL_CERT, "shape": {"t": [], "r": [], "s": []}},
+    {**GL_CERT, "shape": {"t": [2, 5], "r": [1], "s": []}},
+    {**GL_CERT, "shape": {"t": [2], "r": [], "s": [1]}},
+    {**GL_CERT, "words": []},
+    {**GL_CERT, "words": ["x1", "x1'", "x1 x1'"]},
+    {**CERT, "words": ["x1", "x1"]},
+    {**CERT, "words": ["x1", "x1", "x1", "x1"]},
+])
+def test_certificate_shape_must_fit_its_words(capsys, tmp_path, cert):
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps({"version": 1, "certificates": [GL_CERT, cert]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: malformed certificate {")
+    path.write_text(json.dumps({"version": 1, "certificates": [GL_CERT, CERT]}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.count("OK") == 2
 
 
 def test_malformed_assignment_exits_two(capsys, tmp_path):

@@ -54,25 +54,47 @@ def test_o_generators_no_duplicates():
     assert len(seen) == len(rels)
 
 
+def slot_multisets_oracle(slots, budget):
+    """Multisets of (degree, word) slots with total degree * len(word)
+    weight <= budget, by a search that tries every remaining slot at every
+    node; slots arrive sorted, output is nondecreasing."""
+
+    def rec(i, remaining, chosen):
+        yield list(chosen)
+        for j in range(i, len(slots)):
+            deg, w = slots[j]
+            cost = deg * len(w)
+            if cost <= remaining:
+                chosen.append(slots[j])
+                yield from rec(j, remaining - cost, chosen)
+                chosen.pop()
+
+    yield from rec(0, budget, [])
+
+
+def sorted_slots(d, budget, max_word_len):
+    words = enumerate_words(d, max_word_len)
+    return sorted(
+        ((deg, w) for deg in range(1, budget + 1) for w in words),
+        key=lambda s: (s[0], len(s[1]), s[1].key()),
+    )
+
+
 def triple_dfs_oracle(n, d, budget, max_word_len):
     """(ts, rs, ss, words) of o_relation_generators as enumerated before one
     enumeration served all three blocks: the y block re-enumerated for every
     x block, the z block enumerated in full and filtered by its sum."""
     naming = Naming.generic(d)
-    words = enumerate_words(d, max_word_len)
-    slots = sorted(
-        ((deg, w) for deg in range(1, budget + 1) for w in words),
-        key=lambda s: (s[0], len(s[1]), s[1].key()),
-    )
-    for xs in relations._slot_multisets(slots, budget):
+    slots = sorted_slots(d, budget, max_word_len)
+    for xs in slot_multisets_oracle(slots, budget):
         t = sum(deg for deg, _ in xs)
         x_weight = sum(deg * len(w) for deg, w in xs)
-        for ys in relations._slot_multisets(slots, budget - x_weight):
+        for ys in slot_multisets_oracle(slots, budget - x_weight):
             r = sum(deg for deg, _ in ys)
             if t + 2 * r <= n:
                 continue
             y_weight = sum(deg * len(w) for deg, w in ys)
-            for zs in relations._slot_multisets(slots, budget - x_weight - y_weight):
+            for zs in slot_multisets_oracle(slots, budget - x_weight - y_weight):
                 if sum(deg for deg, _ in zs) != r:
                     continue
                 yield (
@@ -104,6 +126,56 @@ def test_o_generators_enumerate_like_triple_dfs(monkeypatch, n, d, budget, max_w
     assert got == list(triple_dfs_oracle(n, d, budget, max_word_len))
 
 
+@pytest.mark.parametrize(
+    "d,budget,max_word_len", sorted({(d, b, k) for _, d, b, k in ENUMERATION_GRID})
+)
+def test_slot_multisets_match_oracle(d, budget, max_word_len):
+    slots = sorted_slots(d, budget, max_word_len)
+    got = list(relations._slot_multisets(slots, budget))
+    assert got == list(slot_multisets_oracle(slots, budget))
+
+
+def monomial_walk_degree(p):
+    return max((sum(g.degree for g in m) for m in p.monomials), default=0)
+
+
+@pytest.mark.parametrize("n, d, budget, zeros", [(1, 1, 6, 642), (2, 2, 4, 128), (3, 2, 4, 0)])
+def test_recorded_degree_matches_monomial_walk(n, d, budget, zeros):
+    for rel in take_o(n, d, budget):
+        walk = monomial_walk_degree(rel.poly)
+        assert rel.poly._degree == walk == poly_degree(rel.poly), rel.describe()
+        zeros -= not rel.poly
+        replay = rebuild_relation(certificate(rel, "exact", True)).poly
+        assert replay == rel.poly and replay._degree == walk, rel.describe()
+    assert zeros == 0  # every zero polynomial was seen, recording degree 0
+
+
+def test_unrecorded_degrees_walk_the_monomials():
+    from fractions import Fraction
+
+    from sigmaring.ring import lin, normalize, parse_poly, substitute
+    from sigmaring.words import Letter, LinComb, Word
+
+    naming = Naming.generic(2)
+    x1, x2 = Word([Letter(1)]), Word([Letter(2)])
+    mixed = parse_poly("tr[x1] + s2[x1 x2] - tr[x1 x2]^2", naming)
+    polys = [
+        mixed,
+        lin(parse_poly("tr[x1]^2 - s2[x1]", naming), 2),
+        normalize(3, LinComb({x1: Fraction(1), x2: Fraction(1)})),
+        # one word per letter, but the base is not multihomogeneous
+        substitute(mixed, {1: LinComb.of(x1 * x2), 2: LinComb.of(x2)}),
+    ]
+    polys += [rel.poly for rel in gl_relation_generators(2, 2, 4)]
+    for p in polys:
+        assert getattr(p, "_degree", None) is None
+        assert poly_degree(p) == monomial_walk_degree(p) > 0
+    for rel in gl_relation_generators(2, 2, 4):
+        replay = rebuild_relation(certificate(rel, "exact", True)).poly
+        assert getattr(replay, "_degree", None) is None
+        assert poly_degree(replay) == monomial_walk_degree(replay)
+
+
 def test_o_generators_vanish_randomized():
     for rel in take_o(2, 2, 3):
         assert verify_randomized(rel.poly, 2, 2, trials=5, seed=17), rel.describe()
@@ -129,15 +201,21 @@ def test_verify_exact_accepts_and_rejects():
     assert not verify_exact(p, 2, 2)
 
 
-def test_verify_exact_caps():
+def test_verify_exact_caps(monkeypatch):
     p = next(iter(take_o(2, 1, 3, limit=1))).poly
     with pytest.raises(ValueError):
         verify_exact(p, 3, 2)
     with pytest.raises(ValueError):
         verify_exact(p, 2, 3)
+    # a polynomial over the degree cap is refused before any image is built
+    for memo in ("_generic_sigma_memo", "_generic_monomial_memo", "_exponent_ids"):
+        monkeypatch.setattr(relations, memo, {})
     deep = next(r for r in take_o(2, 1, 5) if poly_degree(r.poly) == 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact mode is capped at degree 4"):
         verify_exact(deep.poly, 2, 1)
+    assert not relations._generic_sigma_memo
+    assert not relations._generic_monomial_memo
+    assert not relations._exponent_ids
 
 
 def test_verify_randomized_detects_nonzero():
@@ -330,6 +408,84 @@ def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
     ids = relations._exponent_ids
     assert {len(e) for e in ids} == {n * n * d for n in (1, 2) for d in (1, 2)}
     assert sorted(ids.values()) == list(range(len(ids)))
+
+
+_oracle_images: dict = {}
+
+
+def oracle_image(n, d, mono):
+    """Terms of the generic image of a sigma-monomial, by exponent tuple."""
+    key = (n, d, mono)
+    if key not in _oracle_images:
+        image = MultiPoly.const(d * n * n, 1)
+        for g in mono:
+            image = image * relations._generic_sigma(n, d, g.t, g.cycle)
+        _oracle_images[key] = image.terms
+    return _oracle_images[key]
+
+
+def dict_sum_oracle(poly, n, d):
+    """The exact check as a sum of coefficient times image, term by term,
+    into a dict keyed by exponent tuple."""
+    total = {}
+    for mono, coeff in poly.monomials.items():
+        for e, c in oracle_image(n, d, mono).items():
+            total[e] = total.get(e, 0) + coeff * c
+    return not any(total.values())
+
+
+SWEEP_EXACT_SHAPES = [(1, 1, 3), (1, 2, 3), (2, 1, 4), (2, 2, 4)]
+
+
+def test_packed_check_matches_dict_sum():
+    from fractions import Fraction
+
+    from sigmaring.ring import SigmaGen, SigmaPoly
+    from sigmaring.words import Letter, Word
+
+    tr_x1 = (SigmaGen(1, Word([Letter(1)])),)
+    rels = [
+        rel
+        for n, d, budget in SWEEP_EXACT_SHAPES
+        for rel in take_o(n, d, budget)
+        if poly_degree(rel.poly) <= EXACT_MAX_DEGREE
+    ]
+    assert len(rels) == 2149
+    for rel in rels:
+        n, d, p = rel.n, rel.d, rel.poly
+        # a monomial of the relation with a nonzero image, else tr(x1)
+        mono = next((m for m in p.monomials if oracle_image(n, d, m)), tr_x1)
+        extra = SigmaPoly({mono: 1})
+        cases = [
+            (p, True),
+            (p + extra, False),
+            (Fraction(1, 2) * p, True),
+            (p + Fraction(1, 3) * extra, False),
+            ((1 << 80) * p, True),
+        ]
+        for q, want in cases:
+            assert dict_sum_oracle(q, n, d) is want, rel.describe()
+            assert verify_exact(q, n, d) is want, rel.describe()
+
+
+def test_packed_check_is_not_fooled_by_packed_cancellation():
+    # With P_a, P_b the packed images of monomials a and b, both polynomials
+    # below pack to 0, and neither vanishes: the first has coefficients too
+    # large for the field bound, the second a denominator to clear.
+    from fractions import Fraction
+
+    from sigmaring.ring import parse_poly
+
+    naming = Naming.generic(2)
+    a = parse_poly("tr[x1]*tr[x2]", naming)
+    b = parse_poly("tr[x1 x2]", naming)
+    (pa, _), (pb, _) = (relations._generic_monomial(2, 2, m) for m in (*a.monomials, *b.monomials))
+    if pa > pb:
+        a, b, pa, pb = b, a, pb, pa
+    assert 0 < pa < pb
+    for q in (pb * a - pa * b, a - Fraction(pa, pb) * b):
+        assert not dict_sum_oracle(q, 2, 2)
+        assert not verify_exact(q, 2, 2)
 
 
 def test_verify_exact_non_integral_coefficients():
