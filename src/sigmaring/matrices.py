@@ -332,12 +332,11 @@ class EvalContext:
         self.n = sizes.pop()
         self.field = fields.pop()
         self._letters = {k: m.rows for k, m in self.assignment.items()}
-        self._words: dict[tuple, list] = {}
-        self._sigmas: dict[tuple, list] = {}
+        self._words: dict[Word, list] = {}
+        self._sigmas: dict[Word, list] = {}
 
     def _word_rows(self, w: Word) -> list:
-        key = w.key()
-        hit = self._words.get(key)
+        hit = self._words.get(w)
         if hit is None:
             for lt in w:
                 m = self._letters.get(lt.index)
@@ -348,15 +347,14 @@ class EvalContext:
                 if hit is not None:
                     m = [[_reduce(v, self.field) for v in row] for row in _matmul(hit, m)]
                 hit = m
-            self._words[key] = hit
+            self._words[w] = hit
         return hit
 
     def _sigma_list(self, w: Word) -> list:
-        key = w.key()
-        hit = self._sigmas.get(key)
+        hit = self._sigmas.get(w)
         if hit is None:
             out = _sigmas(self._word_rows(w), 1)
-            hit = self._sigmas[key] = [_reduce(v, self.field) for v in out]
+            hit = self._sigmas[w] = [_reduce(v, self.field) for v in out]
         return hit
 
     def word_matrix(self, w: Word) -> ExactMatrix:
@@ -372,7 +370,7 @@ class EvalContext:
         total = 0
         for mono, coeff in p.monomials.items():
             term = _reduce(coeff, field)
-            for t, cycle in mono:
+            for t, _, cycle in mono:
                 term *= sigma_list(cycle)[t] if t <= n else 0
             total += term
         return as_element(total, field)

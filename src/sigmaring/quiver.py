@@ -38,7 +38,7 @@ class QuiverCycle:
     deg_z: int
 
     def key(self) -> tuple:
-        return (len(self.word), self.word.key())
+        return (len(self.word), self.word)
 
 
 class Quiver:

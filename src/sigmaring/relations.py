@@ -58,7 +58,7 @@ from fractions import Fraction
 
 from .matrices import EvalContext, _matmul, _sigmas, field_of, random_matrix
 from .ring import Monomial, SigmaPoly, normalize
-from .sigmatr import sigma_partial_subst
+from .sigmatr import DEGREE_GUARD, sigma_partial_subst
 from .words import Letter, LinComb, Naming, Word, parse_word, word_text
 
 EXACT_MAX_N = 2
@@ -101,7 +101,7 @@ def enumerate_words(d: int, max_len: int, transposes: bool = True) -> list[Word]
     for length in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=length):
             out.append(Word(combo))
-    out.sort(key=lambda w: (len(w), w.key()))
+    out.sort(key=lambda w: (len(w), w))
     return out
 
 
@@ -149,7 +149,7 @@ def o_relation_generators(
         (w, LinComb.of(w), word_text(w, naming)[1:-1]) for w in enumerate_words(d, max_word_len)
     ]
     slots = [(deg, *word) for deg in range(1, max_total_degree + 1) for word in words]
-    slots.sort(key=lambda s: (s[0], len(s[1]), s[1].key()))
+    slots.sort(key=lambda s: (s[0], len(s[1]), s[1]))
 
     # One enumeration serves all three blocks.  Weight only grows along the
     # DFS, so the multisets within a smaller budget are, in the same order,
@@ -175,6 +175,15 @@ def o_relation_generators(
                 yield Relation("o", n, d, ts, rs, ss, x_texts + y_texts + z_texts, poly)
 
 
+def _check_gl_degree(t: int, words: tuple[Word, ...] | list[Word]) -> None:
+    """Refuses s_t of words whose degree t * (longest word) exceeds the
+    guard that sigma_partial puts on o relations: power_reduce and
+    amitsur_expand grow steeply with it."""
+    degree = t * max(len(w) for w in words)
+    if degree > DEGREE_GUARD:
+        raise ValueError(f"total degree {degree} exceeds guard {DEGREE_GUARD}")
+
+
 def gl_relation_generators(
     n: int,
     d: int,
@@ -191,6 +200,7 @@ def gl_relation_generators(
             for combo in itertools.combinations(words, size):
                 if t * max(len(w) for w in combo) > max_total_degree:
                     continue
+                _check_gl_degree(t, combo)
                 arg = LinComb({w: Fraction(1) for w in combo})
                 poly = normalize(t, arg)
                 texts = tuple(word_text(w, naming)[1:-1] for w in combo)
@@ -291,7 +301,7 @@ def _generic_matrices(n: int, d: int) -> dict[int, list[list[MultiPoly]]]:
     return mats
 
 
-# (n, d, word key) -> [sigma_0, ..., sigma_n] of the generic word matrix,
+# (n, d, word) -> [sigma_0, ..., sigma_n] of the generic word matrix,
 # over d * n * n variables.  Shared by every verify_exact call of the
 # process; the exact caps bound n, d and the word length, hence the number
 # of keys.
@@ -300,7 +310,7 @@ _generic_sigma_memo: dict[tuple, list[MultiPoly]] = {}
 
 def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
     nv = d * n * n
-    key = (n, d, w.key())
+    key = (n, d, w)
     hit = _generic_sigma_memo.get(key)
     if hit is None:
         gm = _generic_matrices(n, d)
@@ -425,6 +435,7 @@ def rebuild_relation(cert: dict) -> Relation:
     if cert["kind"] == "o":
         poly = sigma_partial_subst(ts, rs, ss, [LinComb.of(w) for w in parsed])
     elif cert["kind"] == "gl":
+        _check_gl_degree(ts[0], parsed)
         poly = normalize(ts[0], LinComb({w: Fraction(1) for w in parsed}))
     else:
         raise ValueError(f"unknown certificate kind {cert['kind']!r}")

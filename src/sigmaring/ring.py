@@ -1,11 +1,12 @@
 """The symbolic sigma-ring: polynomials in generators s_t(cycle).
 
-Generators are pairs (t, cycle) with t >= 1 and cycle the canonical
-representative of an equivalence class of primitive words; s_0 is the ring
-unit and is never stored.  A polynomial is a sparse map from monomials
-(sorted tuples of generators) to nonzero rational coefficients, each an
-int where it is integral, else a Fraction, so the integer polynomials that
-make up almost all of the ring never pay for rational arithmetic.
+A generator s_t(cycle) has t >= 1 and cycle the canonical representative
+of an equivalence class of primitive words, and is stored as the tuple
+(t, len(cycle), cycle); s_0 is the ring unit and is never stored.  A
+polynomial is a sparse map from monomials (sorted tuples of generators) to
+nonzero rational coefficients, each an int where it is integral, else a
+Fraction, so the integer polynomials that make up almost all of the ring
+never pay for rational arithmetic.
 
 The rewriting map from formal s_t(linear combination) expressions into this
 ring applies, in order: expansion of s_t over sums (the sum of the partial
@@ -18,18 +19,19 @@ Substitution replaces letters by linear combinations of words.  It works
 from a plan of the substituted polynomial: its distinct cycles, its
 distinct generators, and each monomial as a coefficient with the numbers of
 its generators.  A cached sigma_partial base keeps its plan from its first
-substitution on; any other polynomial is compiled per call.  A call builds one image per distinct
-cycle and one per distinct generator.  When every value is a single word
-with coefficient 1, as for every relation generator and every certificate
-replay, the image of s_t(cycle) is s_t of one word: the letters of the
-assigned words (transposed and reversed for a transposed letter) are
-concatenated, and s_t of that word is memoized for the process, as one
-generator when the word is primitive and as its power_reduce polynomial
-otherwise.  Such substitutions build no LinComb, and an image that is one
+substitution on; any other polynomial is compiled per call.  A call builds
+one image per distinct cycle and one per distinct generator.  When every
+value is a single word with coefficient 1, as for every relation generator
+and every certificate replay, the image of s_t(cycle) is s_t of one word:
+the letters of the assigned words (transposed and reversed for a
+transposed letter) are concatenated, and s_t of that word is memoized for
+the process, as one generator when the word is primitive and as the
+monomial items of its power_reduce polynomial otherwise.  Such substitutions build no LinComb, and an image that is one
 generator joins the monomial as is: only polynomial images are multiplied
 out.  Any other assignment normalizes the LinComb image of each generator
-and multiplies it out.  Images are built on generator keys (SigmaGen.key),
-so monomials sort and hash as plain tuples until the result is assembled.
+and multiplies it out.  Generators, monomials and words are tuples (see
+SigmaGen and words.Word), so images multiply out, sort and hash in C, and
+the result is assembled from them with no conversion.
 
 The plan also holds the multidegree of the base when all of its monomials
 share one, as every sigma_partial base does.  A single-word substitution
@@ -43,9 +45,10 @@ relations.poly_degree reads it without walking the monomials.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import ItemsView, NamedTuple
 
 from .words import (
     Letter,
@@ -60,18 +63,31 @@ from .words import (
 )
 
 
-class SigmaGen(NamedTuple):
-    """Generator s_t(cycle); cycle must be canonical and primitive."""
+class SigmaGen(tuple):
+    """Generator s_t(cycle); cycle must be canonical and primitive.
 
-    t: int
-    cycle: Word
+    Stored as the tuple (t, len(cycle), cycle), so generators hash, compare
+    and sort in C, in the canonical order: by t, then by cycle length, then
+    by the letters of the cycle.  A monomial is the sorted tuple of its
+    generators, and that field order fixes the order of its factors."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, cycle: Word):
+        return tuple.__new__(cls, (t, len(cycle), cycle))
+
+    def __getnewargs__(self) -> tuple[int, Word]:
+        return self[0], self[2]
+
+    t = property(operator.itemgetter(0))
+    cycle = property(operator.itemgetter(2))
 
     @property
     def degree(self) -> int:
-        return self.t * len(self.cycle)
+        return self[0] * self[1]
 
-    def key(self) -> tuple:
-        return (self.t, len(self.cycle), self.cycle.key())
+    def __repr__(self) -> str:
+        return f"SigmaGen(t={self[0]!r}, cycle={self[2]!r})"
 
 
 def make_gen(t: int, cycle: Word) -> SigmaGen:
@@ -87,14 +103,6 @@ Monomial = tuple[SigmaGen, ...]
 Coeff = int | Fraction
 
 
-def _mono_sorted(gens: Iterable[SigmaGen]) -> Monomial:
-    return tuple(sorted(gens, key=SigmaGen.key))
-
-
-def _mono_key(m: Monomial) -> tuple:
-    return (sum(g.degree for g in m), tuple(g.key() for g in m))
-
-
 def _int_if_integral(c):
     """c as an int when it is integral, else c: the coefficient form."""
     return c if type(c) is int or c.denominator != 1 else c.numerator
@@ -107,7 +115,7 @@ def _add_into(acc: dict[Monomial, Coeff], p: "SigmaPoly") -> None:
         _add_term(acc, m, c)
 
 
-def _add_term(acc: dict[tuple, Coeff], m: tuple, c: Coeff) -> None:
+def _add_term(acc: dict[Monomial, Coeff], m: Monomial, c: Coeff) -> None:
     old = acc.get(m)
     if old is None:
         acc[m] = c
@@ -135,7 +143,7 @@ class SigmaPoly:
         for m, c in (monomials or {}).items():
             c = _int_if_integral(c if type(c) is int else Fraction(c))
             if c:
-                clean[_mono_sorted(m)] = c
+                clean[tuple(sorted(m))] = c
         object.__setattr__(self, "monomials", clean)
 
     @classmethod
@@ -149,6 +157,11 @@ class SigmaPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("SigmaPoly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle through the constructor, which __setattr__ allows;
+        # a kept plan and a recorded degree are caches and are rebuilt
+        return SigmaPoly, (self.monomials,)
 
     @classmethod
     def zero(cls) -> "SigmaPoly":
@@ -198,7 +211,7 @@ class SigmaPoly:
         out: dict[Monomial, Coeff] = {}
         for m1, c1 in self.monomials.items():
             for m2, c2 in other.monomials.items():
-                m = _mono_sorted(m1 + m2)
+                m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return SigmaPoly._of_clean({m: _int_if_integral(c) for m, c in out.items() if c})
 
@@ -215,7 +228,8 @@ class SigmaPoly:
         return f"SigmaPoly({poly_text(self, Naming.generic(d, 'g'))})"
 
     def sorted_monomials(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self.monomials.items(), key=lambda it: _mono_key(it[0]))
+        # by degree, then as tuples of generators
+        return sorted(self.monomials.items(), key=lambda it: (sum(g.degree for g in it[0]), it[0]))
 
     def mdeg_of(self, m: Monomial) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -240,7 +254,7 @@ def sigma_of_word(t: int, w: Word) -> SigmaPoly:
     reduced = power_reduce(t, e)
     out: dict[Monomial, Coeff] = {}
     for m, c in reduced.monomials.items():
-        gens = _mono_sorted(SigmaGen(g.t, root) for g in m)
+        gens = tuple(sorted([SigmaGen(g.t, root) for g in m]))
         out[gens] = out.get(gens, 0) + c
     return SigmaPoly(out)
 
@@ -389,30 +403,17 @@ def _assigned_words(assignment: dict[int, LinComb]) -> dict[Letter, tuple[Letter
             return None
         transposed = _transposed_memo.get(w)
         if transposed is None:
-            transposed = _transposed_memo[w] = transpose_letters(w.letters)
-        words[i, False] = w.letters
+            transposed = _transposed_memo[w] = transpose_letters(w)
+        words[i, False] = w
         words[i, True] = transposed
     return words
 
 
-# Substitution works from a plan of its base polynomial and from images on
-# generator keys: a monomial is the sorted tuple of the keys of its
-# generators, which sorts and hashes in C, and _gen_of_key turns keys back
-# into generators once per monomial of the result.  A keyed polynomial is
-# the list of its (key monomial, coefficient) pairs, in monomial order.
-
-# SigmaGen.key() -> the generator, for every generator of a keyed image.
-_gen_of_key: dict[tuple, SigmaGen] = {}
-
-
-def _gen_key(g: SigmaGen) -> tuple:
-    key = g.key()
-    _gen_of_key.setdefault(key, g)
-    return key
-
-
-def _keyed(p: SigmaPoly) -> list[tuple[tuple, Coeff]]:
-    return [(tuple([_gen_key(g) for g in m]), c) for m, c in p.monomials.items()]
+# Substitution works from a plan of its base polynomial and from the image
+# of each of its generators: either one generator or the (monomial,
+# coefficient) items of a polynomial, in monomial order.  Generators and
+# monomials are tuples, so the images multiply out, sort and hash in C, and
+# the result is assembled from them as is.
 
 
 class _Plan(NamedTuple):
@@ -476,20 +477,22 @@ def _plan_of(p: SigmaPoly) -> _Plan:
     return plan
 
 
-# (t, letters of a word) -> s_t of the word on keys: the key of s_t(root)
-# when the word is primitive, else its keyed power_reduce polynomial (a
-# list).  Shared by every substitute call of the process, like
-# _normalize_memo.
-_word_sigma_memo: dict[tuple[int, tuple[Letter, ...]], tuple | list] = {}
+Image = SigmaGen | ItemsView[Monomial, Coeff]
+
+# (t, letters of a word) -> the image of s_t of the word: the generator
+# s_t(root) when the word is primitive, else the monomial items of its
+# power_reduce polynomial.  Shared by every substitute call of the process,
+# like _normalize_memo.
+_word_sigma_memo: dict[tuple[int, tuple[Letter, ...]], Image] = {}
 
 
-def _word_sigma(t: int, letters: tuple[Letter, ...]) -> tuple | list:
+def _word_sigma(t: int, letters: tuple[Letter, ...]) -> Image:
     key = (t, letters)
     hit = _word_sigma_memo.get(key)
     if hit is None:
         w = Word(letters)
         root, e = canonicalize(w)
-        hit = _gen_key(SigmaGen(t, root)) if e == 1 else _keyed(sigma_of_word(t, w))
+        hit = SigmaGen(t, root) if e == 1 else sigma_of_word(t, w).monomials.items()
         _word_sigma_memo[key] = hit
     return hit
 
@@ -504,25 +507,25 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
     words = _assigned_words(assignment)
     if words is None:
         cycle_images = [_word_image(w, assignment) for w in plan.cycles]
-        images = [_keyed(normalize(t, cycle_images[i])) for t, i in plan.gens]
+        images = [normalize(t, cycle_images[i]).monomials.items() for t, i in plan.gens]
     else:
         # cycles are short, so concatenating tuples beats chaining them
-        cycle_images = [sum(map(words.__getitem__, w.letters), ()) for w in plan.cycles]
+        cycle_images = [sum(map(words.__getitem__, w), ()) for w in plan.cycles]
         images = [_word_sigma(t, cycle_images[i]) for t, i in plan.gens]
-    poly_images = {i for i, img in enumerate(images) if type(img) is list}
-    out: dict[tuple, Coeff] = {}
+    poly_images = {i for i, img in enumerate(images) if type(img) is not SigmaGen}
+    out: dict[Monomial, Coeff] = {}
     for c, numbers in plan.monos:
         if poly_images.isdisjoint(numbers):
             _add_term(out, tuple(sorted([images[i] for i in numbers])), c)
             continue
-        keys = [images[i] for i in numbers if i not in poly_images]
+        gens = [images[i] for i in numbers if i not in poly_images]
         polys = [images[i] for i in numbers if i in poly_images]
         # Multiply out the polynomial images one at a time, dropping what
         # cancels after each, as SigmaPoly.__mul__ does; a generator factor
         # maps monomials one to one, so it joins from the start.
-        term = {tuple(sorted(keys)): c}
+        term = {tuple(sorted(gens)): c}
         for img in polys:
-            product: dict[tuple, Coeff] = {}
+            product: dict[Monomial, Coeff] = {}
             for m1, c1 in term.items():
                 for m2, c2 in img:
                     m = tuple(sorted(m1 + m2))
@@ -530,8 +533,7 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
             term = {m: v for m, v in product.items() if v}
         for m, v in term.items():
             _add_term(out, m, _int_if_integral(v))
-    gen_of = _gen_of_key
-    result = SigmaPoly._of_clean({tuple([gen_of[k] for k in m]): c for m, c in out.items()})
+    result = SigmaPoly._of_clean(out)
     if words is not None and plan.mdeg is not None:
         degree = sum(k * len(words[i, False]) for i, k in plan.mdeg) if out else 0
         object.__setattr__(result, "_degree", degree)
@@ -644,7 +646,7 @@ def parse_poly(text: str, naming: Naming) -> SigmaPoly:
                 gens.extend([make_gen(t, w)] * (int(m.group(4)) if m.group(4) else 1))
             else:
                 coeff *= Fraction(piece)
-        mono = _mono_sorted(gens)
+        mono = tuple(sorted(gens))
         out[mono] = out.get(mono, Fraction(0)) + coeff
     return SigmaPoly(out)
 

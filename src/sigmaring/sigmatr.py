@@ -34,7 +34,7 @@ def _signed_sum(q: Quiver, target: dict[int, int], base_exp: int) -> SigmaPoly:
     total: dict[tuple, int] = {}
     for sel in index_sets(q, target):
         xi = base_exp + sum(j * (c.deg_y + c.deg_z + 1) for j, c in sel)
-        gens = tuple(sorted((SigmaGen(j, c.word) for j, c in sel), key=SigmaGen.key))
+        gens = tuple(sorted([SigmaGen(j, c.word) for j, c in sel]))
         total[gens] = total.get(gens, 0) + (-1) ** xi
     return SigmaPoly._of_clean({m: c for m, c in total.items() if c})
 

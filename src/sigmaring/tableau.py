@@ -40,7 +40,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .matrices import ExactMatrix, _reduce, as_element
-from .ring import SigmaGen, SigmaPoly, _mono_sorted
+from .ring import Monomial, SigmaGen, SigmaPoly
 from .words import Letter, Word, canonicalize
 
 Cell = tuple[int, int]  # (column, row), both 1-based
@@ -352,7 +352,7 @@ def decompose(T: Tableau, allow_large: bool = False) -> SigmaPoly:
     arising from all column permutations of T."""
     if T.n > 6 and not allow_large:
         raise ValueError("decompose enumerates S_n; pass allow_large=True beyond n=6")
-    found: dict[tuple, tuple[int, tuple]] = {}
+    found: dict[Monomial, int] = {}
     for xi in permutations(range(1, T.n + 1)):
         Ti = T.apply_tau(xi)
         roots = []
@@ -368,14 +368,11 @@ def decompose(T: Tableau, allow_large: bool = False) -> SigmaPoly:
         counts: dict[Word, int] = {}
         for root in roots:
             counts[root] = counts.get(root, 0) + 1
-        mono = _mono_sorted(SigmaGen(j, c) for c, j in counts.items())
-        key = tuple(g.key() for g in mono)
+        mono = tuple(sorted([SigmaGen(j, c) for c, j in counts.items()]))
         sign = _perm_sign(xi)
-        if key in found:
-            assert found[key][0] == sign, "conflicting signs for one selection"
-        else:
-            found[key] = (sign, mono)
-    return SigmaPoly({mono: sign for sign, mono in found.values()})
+        old = found.setdefault(mono, sign)
+        assert old == sign, "conflicting signs for one selection"
+    return SigmaPoly(found)
 
 
 # ---------------------------------------------------------------------------

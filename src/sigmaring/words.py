@@ -7,13 +7,18 @@ rotation of the other or of its transpose; every equivalence class of a
 primitive word has a unique canonical representative, chosen as the
 lexicographic minimum over all rotations of the word and of its transpose
 under the letter order x1 < x1' < x2 < x2' < ...
+
+A Letter is a NamedTuple and a Word a tuple subclass over its letters, so
+both hash, compare and sort in C, and that order is the canonical one: a
+word needs no separate key.  A word equals the plain tuple of its letters,
+and its slices are plain tuples; `*` of two words concatenates them.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Letter(NamedTuple):
@@ -25,56 +30,32 @@ class Letter(NamedTuple):
         return Letter(self.index, not self.transposed)
 
 
-class Word:
-    """Immutable nonempty sequence of letters."""
+class Word(tuple):
+    """Immutable nonempty tuple of letters.  A word is its own key: it
+    hashes, compares and sorts as the tuple of its letters, in C."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters: Iterable[Letter]):
+    def __new__(cls, letters: Iterable[Letter]):
         letters = tuple(letters)
         if not letters:
             raise ValueError("a word must contain at least one letter")
         for lt in letters:
             if not isinstance(lt, Letter) or lt.index < 1:
                 raise ValueError(f"bad letter {lt!r}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Word") -> bool:
-        return self.key() < other.key()
+        return super().__new__(cls, letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # concatenation, not tuple repetition
+        return Word(tuple.__add__(self, other))
 
     def __repr__(self) -> str:
         body = " ".join(f"{lt.index}{'T' if lt.transposed else ''}" for lt in self)
         return f"Word[{body}]"
 
-    def key(self) -> tuple:
-        # letter order: index first, untransposed before transposed
-        return self.letters
-
     @property
     def T(self) -> "Word":
-        return Word(transpose_letters(self.letters))
-
-    def indices(self) -> set[int]:
-        return {lt.index for lt in self.letters}
+        return Word(transpose_letters(self))
 
 
 def _period(seq: tuple) -> int:
@@ -86,7 +67,7 @@ def _period(seq: tuple) -> int:
 
 def is_primitive(w: Word) -> bool:
     """True iff w is not a proper power of a shorter word."""
-    return _period(w.letters) == len(w)
+    return _period(w) == len(w)
 
 
 def transpose_letters(seq: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -105,17 +86,16 @@ def canonicalize(w: Word) -> tuple[Word, int]:
     minimum over all rotations of the root and of its transpose, compared
     as letter tuples.
     """
-    seq = w.letters
-    period = _period(seq)
-    root = seq[:period]
+    period = _period(w)
+    root = w[:period]
     best = min(least_rotation(root), least_rotation(transpose_letters(root)))
-    return Word(best), len(seq) // period
+    return Word(best), len(w) // period
 
 
 def mdeg(w: Word, d: int) -> tuple[int, ...]:
     """Per-index degree vector of length d, a letter and its transpose counted together."""
     counts = [0] * d
-    for lt in w.letters:
+    for lt in w:
         if lt.index > d:
             raise ValueError(f"letter index {lt.index} exceeds alphabet size {d}")
         counts[lt.index - 1] += 1
@@ -124,7 +104,7 @@ def mdeg(w: Word, d: int) -> tuple[int, ...]:
 
 def mdeg_map(w: Word) -> dict[int, int]:
     counts: dict[int, int] = {}
-    for lt in w.letters:
+    for lt in w:
         counts[lt.index] = counts.get(lt.index, 0) + 1
     return counts
 
@@ -134,7 +114,7 @@ def glue(w: Word, d: int) -> Word:
     if d < 1:
         raise ValueError("d must be positive")
     return Word(
-        Letter((lt.index - 1) % d + 1, lt.transposed) for lt in w.letters
+        Letter((lt.index - 1) % d + 1, lt.transposed) for lt in w
     )
 
 
@@ -197,13 +177,8 @@ class LinComb:
         return LinComb({w.T: c for w, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda it: it[0].key())
-
-    def indices(self) -> set[int]:
-        out: set[int] = set()
-        for w in self.terms:
-            out |= w.indices()
-        return out
+        # the words are distinct, so no coefficient is ever compared
+        return sorted(self.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -363,13 +363,13 @@ def test_criterion_12_linearization_examples(capsys):
             ((m, _),) = f.monomials.items()
             c_f, p = multiplicity_stats(m)
             sign = (-1) ** (sum(g.t for g in m) - p)
-            expected_glue = sorted((g.cycle.key(), g.t) for g in m)
+            expected_glue = sorted((tuple(g.cycle), g.t) for g in m)
             for mono, coeff in lin(f, d).monomials.items():
                 assert all(g.t == 1 for g in mono)
                 if len(mono) == p:
                     assert coeff == sign * c_f
                     glued = sorted(
-                        (root.key(), power)
+                        (tuple(root), power)
                         for root, power in (
                             canonicalize(glue(g.cycle, d)) for g in mono
                         )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaring import cli, tableau
+from sigmaring import cli, ring, tableau
 from sigmaring.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -411,6 +411,23 @@ def test_certificate_shape_must_fit_its_words(capsys, tmp_path, cert):
     path.write_text(json.dumps({"version": 1, "certificates": [GL_CERT, CERT]}))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and out.count("OK") == 2
+
+
+@pytest.mark.parametrize("d, words", [(1, ["x1 x1"]), (2, ["x1", "x2"])])
+def test_oversized_gl_certificate_exits_two(capsys, tmp_path, monkeypatch, d, words):
+    # s_30 of these words would run power_reduce or amitsur_expand for
+    # minutes; the degree guard must refuse before either starts
+    def expansion(*args):
+        raise AssertionError("expanded past the degree guard")
+
+    monkeypatch.setattr(ring, "power_reduce", expansion)
+    monkeypatch.setattr(ring, "amitsur_expand", expansion)
+    cert = {**GL_CERT, "d": d, "shape": {"t": [30], "r": [], "s": []}, "words": words}
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps({"version": 1, "certificates": [cert]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == "" and err == f"error: total degree {30 * len(words[0].split())} exceeds guard 10\n"
 
 
 def test_malformed_assignment_exits_two(capsys, tmp_path):

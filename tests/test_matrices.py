@@ -302,7 +302,7 @@ class object_eval_context:
         self._sigmas: dict[tuple, list] = {}
 
     def _word_elements(self, w: Word) -> list:
-        key = w.key()
+        key = tuple(w)
         hit = self._words.get(key)
         if hit is not None:
             return hit
@@ -324,7 +324,7 @@ class object_eval_context:
     def sigma(self, t: int, w: Word):
         if t < 0:
             raise ValueError("t must be nonnegative")
-        key = w.key()
+        key = tuple(w)
         hit = self._sigmas.get(key)
         if hit is None:
             hit = self._sigmas[key] = _sigmas(self._word_elements(w), as_element(1, self.field))

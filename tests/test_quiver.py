@@ -73,9 +73,9 @@ def seen_set_closed_cycles(q, budget):
     def record():
         w = Word(path)
         root, power = canonicalize(w)
-        if power != 1 or root.key() in seen:
+        if power != 1 or root in seen:
             return
-        seen.add(root.key())
+        seen.add(root)
         md = [0] * q.d
         deg_y = deg_z = 0
         for lt in root:
@@ -117,7 +117,7 @@ def test_closed_cycles_match_seen_set_walk(blocks):
     q = Quiver(*blocks)
 
     def rows(cycles):
-        return [(c.word.letters, c.mdeg, c.deg_y, c.deg_z) for c in cycles]
+        return [(tuple(c.word), c.mdeg, c.deg_y, c.deg_z) for c in cycles]
 
     for budget in budgets_up_to(q.d, 7):
         assert rows(q.closed_cycles(budget)) == rows(seen_set_closed_cycles(q, budget))
@@ -172,7 +172,7 @@ def test_index_sets_multidegree_and_distinctness():
             for i in range(3):
                 total[i] += j * c.mdeg[i]
         assert total == [1, 1, 1]
-        key = tuple(sorted((j, c.word.key()) for j, c in sel))
+        key = tuple(sorted((j, c.word) for j, c in sel))
         assert key not in seen
         seen.add(key)
     # 4 three-cycles plus 2 pairs {x, two-cycle}

@@ -25,6 +25,18 @@ from sigmaring.sigmatr import sigma_tr
 from sigmaring.words import Naming, word_text
 
 
+def test_gl_relations_share_the_degree_guard():
+    assert [rel.describe() for rel in gl_relation_generators(9, 1, 10)] == ["gl[10](x1)"]
+    with pytest.raises(ValueError, match="total degree 11 exceeds guard 10"):
+        list(gl_relation_generators(9, 1, 12))
+    gl = {"kind": "gl", "n": 1, "d": 2, "shape": {"t": [5], "r": [], "s": []}}
+    for words in (["x1 x1"], ["x1 x2", "x2"]):
+        rel = rebuild_relation({**gl, "words": words})
+        assert poly_degree(rel.poly) == 10 and verify_randomized(rel.poly, 1, 2, 2, 3)
+    with pytest.raises(ValueError, match="total degree 15 exceeds guard 10"):
+        rebuild_relation({**gl, "words": ["x1", "x1 x2 x1"]})
+
+
 def test_enumerate_words_counts():
     assert len(enumerate_words(1, 2)) == 2 + 4
     assert len(enumerate_words(1, 2, transposes=False)) == 1 + 1
@@ -76,7 +88,7 @@ def sorted_slots(d, budget, max_word_len):
     words = enumerate_words(d, max_word_len)
     return sorted(
         ((deg, w) for deg in range(1, budget + 1) for w in words),
-        key=lambda s: (s[0], len(s[1]), s[1].key()),
+        key=lambda s: (s[0], len(s[1]), tuple(s[1])),
     )
 
 
@@ -320,7 +332,7 @@ def fresh_exact_oracle(poly, n, d):
     word_cache = {}
 
     def word_matrix(w):
-        key = w.key()
+        key = tuple(w)
         if key in word_cache:
             return word_cache[key]
         out = None
@@ -337,7 +349,7 @@ def fresh_exact_oracle(poly, n, d):
     for mono, coeff in poly.monomials.items():
         term = MultiPoly.const(nv, coeff)
         for g in mono:
-            key = (g.t, g.cycle.key())
+            key = (g.t, tuple(g.cycle))
             if key not in sigma_cache:
                 sigma_cache[key] = _pm_sigma(word_matrix(g.cycle), g.t, nv)
             term = term * sigma_cache[key]

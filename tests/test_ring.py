@@ -1,6 +1,8 @@
+import copy
 import inspect
 import itertools
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -150,7 +152,7 @@ def elimination_power_reduce(t: int, l: int) -> SigmaPoly:
             target[e] = target.get(e, 0) - coeff * c
             if not target[e]:
                 del target[e]
-        result = result + SigmaPoly({ring._mono_sorted(gens): Fraction(coeff)})
+        result = result + SigmaPoly({tuple(sorted(gens)): Fraction(coeff)})
     return result
 
 
@@ -374,8 +376,8 @@ def word_substitute_oracle(p, assignment):
         if c != 1:
             words = None
             break
-        words[Letter(i)] = w.letters
-        words[Letter(i, True)] = w.T.letters
+        words[Letter(i)] = w
+        words[Letter(i, True)] = w.T
     images = {}
     out = {}
     for m, c in p.monomials.items():
@@ -394,13 +396,13 @@ def word_substitute_oracle(p, assignment):
             else:
                 polys.append(img)
         if not polys:
-            ring._add_term(out, ring._mono_sorted(gens), c)
+            ring._add_term(out, tuple(sorted(gens)), c)
             continue
         term = SigmaPoly._of_clean({(): c})
         for img in polys:
             term = term * img
         for tm, tc in term.monomials.items():
-            ring._add_term(out, ring._mono_sorted(tm + tuple(gens)), tc)
+            ring._add_term(out, tuple(sorted(tm + tuple(gens))), tc)
     return SigmaPoly._of_clean(out)
 
 
@@ -561,7 +563,7 @@ def poly_from_json_obj(obj: dict, naming: Naming) -> SigmaPoly:
             make_gen(int(g["t"]), parse_word(f"[{g['word']}]", naming))
             for g in term["gens"]
         ]
-        mono = ring._mono_sorted(gens)
+        mono = tuple(sorted(gens))
         out[mono] = out.get(mono, Fraction(0)) + Fraction(term["coeff"])
     return SigmaPoly(out)
 
@@ -644,3 +646,48 @@ def test_substitute_missing_letter_message(cached):
         substitute(p, {1: x, 3: x})
     with pytest.raises(ValueError, match=r"^no assignment for letter indices \[2, 3\]$"):
         substitute(p, {1: x, 4: x})
+
+
+def old_word_key(w):
+    """The letter tuple of w as plain (index, transposed) pairs."""
+    return tuple((lt.index, lt.transposed) for lt in w)
+
+
+def old_gen_key(g):
+    """The generator order as it was keyed: t, cycle length, letters."""
+    return (g.t, len(g.cycle), old_word_key(g.cycle))
+
+
+ring_words = st.builds(
+    Word, st.lists(st.builds(Letter, st.integers(1, 3), st.booleans()), min_size=1, max_size=4)
+)
+ring_gens = st.builds(SigmaGen, st.integers(1, 4), ring_words)
+
+
+@given(st.lists(ring_words, max_size=8), st.lists(ring_gens, max_size=8))
+def test_tuple_order_is_the_key_order(ws, gens):
+    assert sorted(ws) == sorted(ws, key=old_word_key)
+    assert sorted(gens) == sorted(gens, key=old_gen_key)
+    for g in gens:
+        assert (g.t, g.cycle, g.degree) == (g[0], g[2], g[0] * len(g[2]))
+        assert g == (g.t, len(g.cycle), g.cycle)
+    # so does the printed order of monomials: by degree, then factor by factor
+    p = SigmaPoly({tuple(gens[:i]): i + 1 for i in range(len(gens) + 1)})
+    assert [m for m, _ in p.sorted_monomials()] == sorted(
+        p.monomials, key=lambda m: (sum(g.degree for g in m), [old_gen_key(g) for g in m])
+    )
+
+
+@pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_poly_copies_and_pickles(roundtrip):
+    naming = Naming.generic(9)
+    polys = [sigma_partial(*shape) for shape in SMALL_SHAPES]
+    polys += [rel.poly for rel in itertools.islice(o_relation_generators(2, 2, 4), 40)]
+    polys += [Fraction(1, 3) * power_reduce(3, 2), SigmaPoly.zero(), SigmaPoly.one()]
+    for p in polys:
+        q = roundtrip(p)
+        assert q == p and poly_text(q, naming) == poly_text(p, naming)
+        assert list(q.monomials.items()) == list(p.monomials.items())
+        assert [type(c) for c in q.monomials.values()] == [type(c) for c in p.monomials.values()]
+        for m in q.monomials:
+            assert all(type(g) is SigmaGen and type(g.cycle) is Word for g in m)

@@ -33,9 +33,9 @@ def brute_primitive(w: Word) -> bool:
 
 
 def rotations(w: Word):
-    n = len(w.letters)
+    n = len(w)
     for i in range(n):
-        yield Word(w.letters[i:] + w.letters[:i])
+        yield Word(w[i:] + w[:i])
 
 
 def test_letter_order():
@@ -162,11 +162,15 @@ def test_naming_roundtrip_stability():
 
 @given(words, words)
 def test_word_hash_cached_and_consistent(u, v):
-    assert hash(u) == hash(u.letters) == hash(Word(u.letters))
-    assert (u == v) == (u.key() == v.key())
+    # a word hashes and compares as the tuple of its letters
+    assert hash(u) == hash(tuple(u)) == hash(Word(tuple(u)))
+    assert (u == v) == (tuple(u) == tuple(v))
     if u == v:
         assert hash(u) == hash(v)
     with pytest.raises(AttributeError):
-        u.letters = v.letters
-    with pytest.raises(AttributeError):
-        u._hash = 0
+        u.letters = tuple(v)
+    with pytest.raises(TypeError):
+        u[0] = v[0]
+    # `*` concatenates; slices are plain tuples
+    assert u * v == Word(tuple(u) + tuple(v)) and type(u * v) is Word
+    assert type(u[:1]) is tuple
