@@ -29,6 +29,7 @@ from .matrices import EvalContext, field_of, matrix_from_json_obj, random_matrix
 from .quiver import Quiver
 from .relations import (
     _check_exact_size,
+    _check_gl_degree,
     certificate,
     gl_relation_generators,
     o_relation_generators,
@@ -120,6 +121,8 @@ def cmd_cycles(args) -> int:
 def cmd_amitsur(args) -> int:
     naming = Naming.scan(args.expr)
     arg = parse_lincomb(args.expr, naming)
+    if arg:  # normalize refuses an empty combination itself
+        _check_gl_degree(args.t, tuple(arg.terms))
     _emit_poly(normalize(args.t, arg), naming, args)
     return 0
 

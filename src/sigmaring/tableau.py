@@ -14,17 +14,23 @@ function in characteristic zero.
 
 The builder T(t, r) stacks t horizontal x-arrows over r vertical (y, z)
 arrow pairs; bpf(T(t, r)) coincides with sigma_{t,r} on matrices of size
-n = t + 2r.  On T(t, r) the restricted form is computed in polynomial
-time from the determinant-pfaffian identity
+n = t + 2r.  Every form of every tableau is read off one Pfaffian, the
+determinant-pfaffian identity of Lopatin-Zubkov: with the arrows grouped
+by g = (label, tail column, head column), m_g arrows each,
 
-    bpf(T(t, r)) = (-1)^(t(t-1)/2) [lambda^r] Pf [[lambda (Y - Y^T), X],
-                                                  [-X^T, Z - Z^T]],
+    bpf(T) = eps(T) [prod w_g^(m_g)] Pf(sum_g w_g B_g),
 
-evaluating the Pfaffian by skew Gaussian elimination at n // 2 + 1
-values of lambda.  Every other tableau (multilinear labels, column
-permutations of T(t, r)) and the "full" and "Q" forms keep the sum over
-S_n x S_n, which bpf refuses beyond n = 6 unless allow_large=True.
-Both routes read the raw entries of `ExactMatrix` rows directly and build
+where B_g holds X_label in block (tail column, head column) of a 2n x 2n
+skew matrix and eps(T) is the sign of the cells read arrow by arrow,
+tail then head.  Rows enter only through eps, so permuting the column-2
+rows by tau multiplies bpf by sign(tau).  The full form multiplies by
+prod m_g!, and the Q form is the restricted value once that divisor is
+invertible in the field.  On T(t, r), its tau-images and every form the
+coefficient is interpolated in one weight from at most n // 2 + 1
+Pfaffians; a multilinear tableau costs 2^n Pfaffians and is refused
+beyond n = DEGREE_GUARD = 10.  A tableau whose arrows of one label and tail
+column end in both columns is refused: the identity fails there.
+Both rules read the raw entries of `ExactMatrix` rows directly and build
 a field element only for the value they return.
 decompose() recovers that sigma-polynomial combinatorially: closed paths
 of T with its column-2 rows permuted by xi split into transpose pairs
@@ -36,11 +42,13 @@ by a closed form and by a rewriting recursion on its word.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .matrices import ExactMatrix, _reduce, as_element
 from .ring import Monomial, SigmaGen, SigmaPoly
+from .sigmatr import DEGREE_GUARD
 from .words import Letter, Word, canonicalize
 
 Cell = tuple[int, int]  # (column, row), both 1-based
@@ -144,22 +152,11 @@ def _perm_sign(p: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _ordered(p: tuple[int, ...], rows: list[int]) -> bool:
-    vals = [p[r - 1] for r in rows]
-    return all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def bpf(
-    T: Tableau,
-    mats: dict[int, ExactMatrix],
-    form: str = "restricted",
-    allow_large: bool = False,
-):
+def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
     """Evaluate the tableau function; form is "restricted", "full" or "Q"
     (full divided by the label-multiplicity factorials; needs those
-    factorials invertible in the field).  Only the restricted form of
-    T(t, r) has a polynomial route; every other input sums over S_n x S_n
-    and needs allow_large=True beyond n = 6."""
+    factorials invertible in the field).  Every form is read off the one
+    Pfaffian of _pfaffian_coefficient."""
     if form not in ("restricted", "full", "Q"):
         raise ValueError(f"unknown form {form!r}")
     n = T.n
@@ -173,83 +170,71 @@ def bpf(
     if len(fields) > 1:
         raise ValueError("matrices must share one field")
     (field,) = fields
-    if form == "restricted":
-        t = sum(1 for a in T.arrows if a.label == 1)
-        r = sum(1 for a in T.arrows if a.label == 2)
-        if T.arrows == build_T(t, r).arrows:
-            return as_element(_bpf_pfaffian(t, r, mats), field)
-    if n > 6 and not allow_large:
-        raise ValueError("this bpf enumerates S_n x S_n; pass allow_large=True beyond n=6")
-    return _bpf_permutation_sum(T, mats, form, field)
-
-
-def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, field):
-    """bpf as the double sum over S_n x S_n; O((n!)^2 n) operations on raw
-    values, converted to a field element once at the end."""
-    n = T.n
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int, int], int] = {}
+    heads: dict[tuple[int, int], int] = {}
     for a in T.arrows:
-        groups.setdefault((a.label, a.tail[0]), []).append(a.tail[1])
-    constraints = {1: [], 2: []}
-    divisor = 1
-    for (_, col), rows in groups.items():
-        if len(rows) > 1:
-            constraints[col].append(sorted(rows))
-        for i in range(2, len(rows) + 1):
-            divisor *= i
-
-    # refuses a divisor that vanishes mod p before summing, whatever the total
-    factor = _reduce(Fraction(1, divisor), field) if form == "Q" else 1
-    restricted = form == "restricted"
-    entries = {lab: m.rows for lab, m in mats.items()}
-    total = 0
-    perms = list(permutations(range(n)))
-    signs = {p: _perm_sign(p) for p in perms}
-    for p1 in perms:
-        if restricted and not all(_ordered(p1, rows) for rows in constraints[1]):
-            continue
-        for p2 in perms:
-            if restricted and not all(_ordered(p2, rows) for rows in constraints[2]):
-                continue
-            term = signs[p1] * signs[p2]
-            pi = (None, p1, p2)
-            for a in T.arrows:
-                row = pi[a.tail[0]][a.tail[1] - 1]
-                col = pi[a.head[0]][a.head[1] - 1]
-                term *= entries[a.label][row][col]
-                if not term:
-                    break
-            total += term
-    return as_element(total * factor, field)
+        g = (a.label, a.tail[0], a.head[0])
+        if heads.setdefault(g[:2], g[2]) != g[2]:
+            raise ValueError(
+                f"label {a.label} has arrows from column {g[1]} into both columns"
+            )
+        groups[g] = groups.get(g, 0) + 1
+    divisor = prod(factorial(m) for m in groups.values())
+    if form == "Q":
+        # refuses a divisor that vanishes mod p before any Pfaffian
+        _reduce(Fraction(1, divisor), field)
+    cells = tuple((c - 1) * n + row - 1 for a in T.arrows for c, row in (a.tail, a.head))
+    value = _perm_sign(cells) * _pfaffian_coefficient(groups, mats, n)
+    return as_element(value * divisor if form == "full" else value, field)
 
 
-def _bpf_pfaffian(t: int, r: int, mats: dict[int, ExactMatrix]) -> Fraction:
-    """bpf(T(t, r)) over Q as (-1)^(t(t-1)/2) [lambda^r] Pf(M(lambda)),
+def _pfaffian_coefficient(
+    groups: dict[tuple[int, int, int], int], mats: dict[int, ExactMatrix], n: int
+) -> Fraction:
+    """[prod w_g^(m_g)] Pf(sum_g w_g B_g) for the arrow groups
+    g = (label, tail column, head column) with m_g arrows each.
 
-        M(lambda) = [[lambda (Y - Y^T), X], [-X^T, Z - Z^T]],
-
-    at n = t + 2r.  A perfect matching of the 2n indices has as many pairs
-    inside the top block as inside the bottom one, so the lambda^r part
-    is the matchings with r pairs in each diagonal block and t across.
-    Pf(M(lambda)) has degree <= n/2 in lambda; it is interpolated from
-    lambda = 0, ..., n // 2.  Over F_p it runs on the raw integer
+    B_g is the 2n x 2n skew matrix with X_label in block (tail column,
+    head column) and -X_label^T in the mirrored block.  Pf is homogeneous
+    of degree n = sum m_g in the weights.  With at most one group per kind
+    (horizontal, vertical in column 1, vertical in column 2) a perfect
+    matching has as many pairs inside column 1 as inside column 2, so the
+    other two weights are set to 1 and the column-1 weight lambda, if
+    there is one, is interpolated from lambda = 0, ..., n // 2.
+    Otherwise the coefficient is the mixed forward difference
+    Delta^m Pf(0) / prod m_g! over the grid prod (m_g + 1), 2^n Pfaffians
+    for a multilinear tableau, which is refused beyond n = DEGREE_GUARD.  Over F_p it runs on the raw integer
     representatives of the entries: both sides are integer polynomials in
     the entries.
     """
-    n = t + 2 * r
 
-    # a label without arrows is not validated and does not contribute
-    zero = [[0] * n for _ in range(n)]
-    x, y, z = (mats[k].rows if used else zero for k, used in ((1, t), (2, r), (3, r)))
-    skew_y = [[y[i][j] - y[j][i] for j in range(n)] for i in range(n)]
-    bottom = [
-        [-x[j][i] for j in range(n)] + [z[i][j] - z[j][i] for j in range(n)] for i in range(n)
-    ]
-    values = [
-        _pfaffian([[lam * v for v in sy] + xr for sy, xr in zip(skew_y, x)] + bottom)
-        for lam in range(n // 2 + 1)
-    ]
-    return (-1) ** (t * (t - 1) // 2) * _coefficient(values, r)
+    def pf(weights: dict[tuple[int, int, int], int]) -> Fraction:
+        m = [[0] * (2 * n) for _ in range(2 * n)]
+        for (label, tail_col, head_col), w in weights.items():
+            if not w:
+                continue
+            top, left = (tail_col - 1) * n, (head_col - 1) * n
+            for i, row in enumerate(mats[label].rows):
+                for j, v in enumerate(row):
+                    m[top + i][left + j] += w * v
+                    m[left + j][top + i] -= w * v
+        return _pfaffian(m)
+
+    kinds = [tail_col if tail_col == head_col else 0 for _, tail_col, head_col in groups]
+    if len(set(kinds)) == len(kinds):
+        lam = next((g for g in groups if g[1] == g[2] == 1), None)
+        points = n // 2 + 1 if lam else 1  # without lambda Pf is one constant
+        values = [pf({g: v if g == lam else 1 for g in groups}) for v in range(points)]
+        return _coefficient(values, groups.get(lam, 0))
+    if n > DEGREE_GUARD:
+        raise ValueError(f"total degree {n} exceeds guard {DEGREE_GUARD}")
+    total = Fraction(0)
+    for point in product(*(range(m + 1) for m in groups.values())):
+        weight = prod(
+            (-1) ** (m - k) * comb(m, k) for m, k in zip(groups.values(), point)
+        )
+        total += weight * pf(dict(zip(groups, point)))
+    return total / prod(factorial(m) for m in groups.values())
 
 
 def _pfaffian(m: list[list]) -> Fraction:
@@ -347,11 +332,11 @@ def path_word(T: Tableau, path: list[Element]) -> Word:
     return Word([T.letter_of(e) for e in path])
 
 
-def decompose(T: Tableau, allow_large: bool = False) -> SigmaPoly:
+def decompose(T: Tableau) -> SigmaPoly:
     """The signed sum over distinct primitive closed-path selections
-    arising from all column permutations of T."""
-    if T.n > 6 and not allow_large:
-        raise ValueError("decompose enumerates S_n; pass allow_large=True beyond n=6")
+    arising from all column permutations of T, for n <= 6."""
+    if T.n > 6:
+        raise ValueError("decompose enumerates S_n; n is capped at 6")
     found: dict[Monomial, int] = {}
     for xi in permutations(range(1, T.n + 1)):
         Ti = T.apply_tau(xi)

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from sigmaring import cli, ring, tableau
 from sigmaring.cli import main
+from sigmaring.matrices import EvalContext, random_matrix
+from sigmaring.sigmatr import sigma_lin, sigma_tr
+from sigmaring.tableau import build_T
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +68,20 @@ def test_amitsur_golden(capsys):
     code, out, _ = run(capsys, "amitsur", "-t", "2", "[a] + [b]", "--json")
     assert code == 0
     assert json.loads(out) == golden("amitsur_2_ab.json")
+
+
+def test_amitsur_beyond_degree_guard_exits_two(capsys, monkeypatch):
+    # s_30 of a sum of two letters would run amitsur_expand for minutes;
+    # the guard that gl certificates use refuses it before the expansion
+    def expansion(*args):
+        raise AssertionError("expanded past the degree guard")
+
+    monkeypatch.setattr(ring, "amitsur_expand", expansion)
+    code, out, err = run(capsys, "amitsur", "-t", "30", "[a] + [b]")
+    assert (code, out) == (2, "")
+    assert err == "error: total degree 30 exceeds guard 10\n"
+    code, _, err = run(capsys, "amitsur", "-t", "6", "[a b] + [c]")
+    assert (code, err) == (2, "error: total degree 12 exceeds guard 10\n")
 
 
 def test_cycles_golden(capsys):
@@ -129,17 +146,30 @@ def test_bpf_empty_tableau_prints_one(capsys):
 
 
 @pytest.mark.parametrize("extra", [["--multilinear"], ["--form", "full"], ["--form", "Q"]])
-def test_bpf_permutation_sum_beyond_n6_exits_two(capsys, extra):
-    # n = 7 off the Pfaffian route would sum over (7!)^2 permutation pairs
-    code, out, err = run(capsys, "bpf", "-t", "1", "-r", "3", *extra)
-    assert code == 2
-    assert out == "" and err.startswith("error: ") and "allow_large" in err
+def test_bpf_beyond_n6_matches_sigma(capsys, extra):
+    # n = 7 is read off the Pfaffian like every other size: the multilinear
+    # T(1, 3) is sigma_lin(1, 3), the full form 1! 3! 3! sigma_tr(1, 3)
+    code, out, err = run(capsys, "bpf", "-t", "1", "-r", "3", "--field", "fp:7", *extra)
+    assert (code, err) == (0, "")
+    T = build_T(1, 3, multilinear=extra == ["--multilinear"])
+    mats = {k: random_matrix(7, k, field=7) for k in T.labels()}
+    if extra == ["--multilinear"]:
+        want = EvalContext(mats).eval_poly(sigma_lin(1, 3))
+    else:
+        want = EvalContext(mats).eval_poly(sigma_tr(1, 3)) * (36 if "full" in extra else 1)
+    assert out == f"{want}\n"
+
+
+def test_bpf_multilinear_beyond_guard_exits_two(capsys):
+    code, out, err = run(capsys, "bpf", "-t", "1", "-r", "5", "--multilinear")
+    assert (code, out) == (2, "")
+    assert err == "error: total degree 11 exceeds guard 10\n"
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_bpf_form_q_vanishing_factorial_exits_two(capsys, monkeypatch, p):
-    # 1/p! has no value mod p; bpf must refuse before enumerating S_p x S_p
-    monkeypatch.setattr(tableau, "permutations", None)
+    # 1/p! has no value mod p; bpf must refuse before any Pfaffian
+    monkeypatch.setattr(tableau, "_pfaffian", None)
     code, out, err = run(capsys, "bpf", "-t", str(p), "-r", "0", "--form", "Q",
                          "--field", f"fp:{p}")
     assert (code, out) == (2, "")

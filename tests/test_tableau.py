@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -5,7 +6,7 @@ from math import factorial
 import pytest
 
 from sigmaring import tableau
-from sigmaring.matrices import EvalContext, ExactMatrix, as_element, random_matrix
+from sigmaring.matrices import EvalContext, ExactMatrix, _reduce, as_element, random_matrix
 from sigmaring.ring import poly_text
 from sigmaring.sigmatr import sigma_lin, sigma_tr
 from sigmaring.tableau import (
@@ -13,7 +14,6 @@ from sigmaring.tableau import (
     Cell,
     Element,
     Tableau,
-    _bpf_permutation_sum,
     _kind,
     _perm_sign,
     bpf,
@@ -28,6 +28,55 @@ from sigmaring.tableau import (
 from sigmaring.words import Naming, Word, canonicalize, word_text
 
 XYZ = Naming.xyz(1, 1, 1)
+
+
+# The definition of bpf as a double sum over S_n x S_n, kept as the oracle
+# for the Pfaffian in src/.
+
+
+def _ordered(p: tuple[int, ...], rows: list[int]) -> bool:
+    vals = [p[r - 1] for r in rows]
+    return all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, field):
+    """bpf as the double sum over S_n x S_n; O((n!)^2 n) operations on raw
+    values, converted to a field element once at the end."""
+    n = T.n
+    groups: dict[tuple[int, int], list[int]] = {}
+    for a in T.arrows:
+        groups.setdefault((a.label, a.tail[0]), []).append(a.tail[1])
+    constraints = {1: [], 2: []}
+    divisor = 1
+    for (_, col), rows in groups.items():
+        if len(rows) > 1:
+            constraints[col].append(sorted(rows))
+        for i in range(2, len(rows) + 1):
+            divisor *= i
+
+    # refuses a divisor that vanishes mod p before summing, whatever the total
+    factor = _reduce(Fraction(1, divisor), field) if form == "Q" else 1
+    restricted = form == "restricted"
+    entries = {lab: m.rows for lab, m in mats.items()}
+    total = 0
+    perms = list(permutations(range(n)))
+    signs = {p: _perm_sign(p) for p in perms}
+    for p1 in perms:
+        if restricted and not all(_ordered(p1, rows) for rows in constraints[1]):
+            continue
+        for p2 in perms:
+            if restricted and not all(_ordered(p2, rows) for rows in constraints[2]):
+                continue
+            term = signs[p1] * signs[p2]
+            pi = (None, p1, p2)
+            for a in T.arrows:
+                row = pi[a.tail[0]][a.tail[1] - 1]
+                col = pi[a.head[0]][a.head[1] - 1]
+                term *= entries[a.label][row][col]
+                if not term:
+                    break
+            total += term
+    return as_element(total * factor, field)
 
 
 # Two more sign computations, kept as oracles for the ones in src/.
@@ -200,58 +249,122 @@ def _must_not_run(*args):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_bpf_form_q_refuses_vanishing_factorial(monkeypatch, p):
-    """1/p! has no value mod p: the "Q" form refuses before summing, so it
-    never cancels the divisor against the total."""
-    monkeypatch.setattr(tableau, "permutations", _must_not_run)
+    """1/p! has no value mod p: the "Q" form refuses before any Pfaffian,
+    so it never cancels the divisor against the value."""
+    monkeypatch.setattr(tableau, "_pfaffian", _must_not_run)
     message = f"^denominator of 1/{factorial(p)} vanishes mod {p}$"
     with pytest.raises(ZeroDivisionError, match=message):
-        bpf(build_T(p, 0), {1: random_matrix(p, 180, field=p)}, form="Q", allow_large=True)
+        bpf(build_T(p, 0), {1: random_matrix(p, 180, field=p)}, form="Q")
+
+
+def counting_pfaffians(monkeypatch):
+    calls = []
+    pfaffian = tableau._pfaffian
+
+    def counted(m):
+        calls.append(len(m))
+        return pfaffian(m)
+
+    monkeypatch.setattr(tableau, "_pfaffian", counted)
+    return calls
 
 
 def test_bpf_routes_T_to_pfaffian(monkeypatch):
+    """T(t, r), its tau-images and every form interpolate in one weight
+    from n // 2 + 1 Pfaffians, T(t, 0) takes one, and a multilinear
+    tableau 2^n."""
     T = build_T(2, 1)
     mats = seeded_mats(4, 150, 7)
-    want = _bpf_permutation_sum(T, mats, "restricted", 7)
-    monkeypatch.setattr(tableau, "_bpf_permutation_sum", _must_not_run)
-    assert bpf(T, mats) == want
-    assert bpf(build_T(0, 0), {}) == 1
+    Tm = build_T(2, 1, multilinear=True)
+    mats_m = {k: random_matrix(4, 150 + k, field=7) for k in Tm.labels()}
+    calls = counting_pfaffians(monkeypatch)
+    for form in ("restricted", "full", "Q"):
+        for Ti in (T, T.apply_tau((4, 3, 1, 2))):
+            calls.clear()
+            assert bpf(Ti, mats, form=form) == _bpf_permutation_sum(Ti, mats, form, 7)
+            assert calls == [8] * 3
+    calls.clear()
+    assert bpf(Tm, mats_m) == _bpf_permutation_sum(Tm, mats_m, "restricted", 7)
+    assert calls == [8] * 2**4
+    calls.clear()
+    a = random_matrix(3, 150, field=7)
+    assert bpf(build_T(3, 0), {1: a}) == a.det() and calls == [6]
+    calls.clear()
+    assert bpf(build_T(0, 0), {}) == 1 and calls == [0]
 
 
-def test_bpf_permutation_sum_guarded_beyond_n6(monkeypatch):
-    T = build_T(1, 3)
-    mats = seeded_mats(7, 170, "Q")
+def test_bpf_beyond_n6_matches_sigma():
+    """At n = 7 the multilinear T(1, 3) equals sigma_lin(1, 3), the full
+    form of T(1, 3) is 1! 3! 3! sigma_tr(1, 3), and a tau-image is
+    sign(tau) sigma_tr(1, 3); no permutation sum is needed to check them."""
     Tm = build_T(1, 3, multilinear=True)
     mats_m = {k: random_matrix(7, 170 + k) for k in Tm.labels()}
-    image = T.apply_tau((2, 1, 3, 4, 5, 6, 7))
-    calls = [
-        (Tm, mats_m, "restricted"),
-        (image, mats, "restricted"),
-        (T, mats, "full"),
-        (T, mats, "Q"),
-    ]
-    for Ti, m, form in calls:
-        with pytest.raises(ValueError, match="allow_large"):
-            bpf(Ti, m, form=form)
-    monkeypatch.setattr(tableau, "_bpf_permutation_sum", lambda *args: "summed")
-    for Ti, m, form in calls:
-        assert bpf(Ti, m, form=form, allow_large=True) == "summed"
+    assert bpf(Tm, mats_m) == EvalContext(mats_m).eval_poly(sigma_lin(1, 3))
+    T = build_T(1, 3)
+    mats = seeded_mats(7, 170, "Q")
+    want = EvalContext(mats).eval_poly(sigma_tr(1, 3))
+    assert bpf(T, mats, form="full") == 36 * want
+    assert bpf(T, mats, form="Q") == want
+    assert bpf(T.apply_tau((2, 1, 3, 4, 5, 6, 7)), mats) == -want
+    with pytest.raises(ValueError, match="^total degree 11 exceeds guard 10$"):
+        bpf(build_T(1, 5, multilinear=True), {k: random_matrix(11, k) for k in range(1, 12)})
 
 
-def test_bpf_other_tableaux_keep_permutation_sum(monkeypatch):
+@pytest.mark.parametrize("field", ["Q", 7])
+def test_bpf_other_tableaux_match_permutation_sum(field):
     T = build_T(2, 1)
-    mats = seeded_mats(4, 160, "Q")
+    mats = seeded_mats(4, 160, field)
     Tm = build_T(2, 1, multilinear=True)
-    mats_m = {k: random_matrix(4, 160 + k) for k in Tm.labels()}
-    images = [T.apply_tau(tau) for tau in list(permutations(range(1, 5)))[1:]]
-    want_m = _bpf_permutation_sum(Tm, mats_m, "restricted", "Q")
-    want_images = [_bpf_permutation_sum(Ti, mats, "restricted", "Q") for Ti in images]
-    want_forms = [_bpf_permutation_sum(T, mats, form, "Q") for form in ("full", "Q")]
-    assert any(w != bpf(T, mats) for w in want_images)
+    mats_m = {k: random_matrix(4, 160 + k, field=field) for k in Tm.labels()}
+    taus = list(permutations(range(1, 5)))
+    for Ti in [T.apply_tau(tau) for tau in taus] + [Tm.apply_tau(tau) for tau in taus]:
+        m = mats if Ti.labels() == {1, 2, 3} else mats_m
+        for form in ("restricted", "full", "Q"):
+            assert bpf(Ti, m, form=form) == _bpf_permutation_sum(Ti, m, form, field)
+    assert any(bpf(T.apply_tau(tau), mats) != bpf(T, mats) for tau in taus)
 
-    monkeypatch.setattr(tableau, "_bpf_pfaffian", _must_not_run)
-    assert bpf(Tm, mats_m) == want_m
-    assert [bpf(Ti, mats) for Ti in images] == want_images
-    assert [bpf(T, mats, form=form) for form in ("full", "Q")] == want_forms
+
+def random_tableau(rng: random.Random, n: int) -> Tableau:
+    cells = [(c, r) for c in (1, 2) for r in range(1, n + 1)]
+    rng.shuffle(cells)
+    labels = rng.randint(1, 3)
+    return Tableau(
+        [Arrow(rng.randint(1, labels), cells[2 * i], cells[2 * i + 1]) for i in range(n)]
+    )
+
+
+def mixed_heads(T: Tableau) -> bool:
+    heads: dict[tuple[int, int], set[int]] = {}
+    for a in T.arrows:
+        heads.setdefault((a.label, a.tail[0]), set()).add(a.head[0])
+    return any(len(cols) > 1 for cols in heads.values())
+
+
+@pytest.mark.parametrize("field", ["Q", 3, 5, 7])
+def test_bpf_random_tableaux_match_permutation_sum(field):
+    """Seeded random tableaux with n <= 4 and up to three labels, every
+    form; a tableau whose arrows of one label and tail column end in both
+    columns is refused."""
+    rng = random.Random(f"bpf-{field}")
+    checked = refused = 0
+    for _ in range(40):
+        T = random_tableau(rng, rng.randint(1, 4))
+        mats = {k: random_matrix(T.n, rng.randrange(1000), field=field) for k in (1, 2, 3)}
+        if mixed_heads(T):
+            with pytest.raises(ValueError, match="into both columns"):
+                bpf(T, mats)
+            refused += 1
+            continue
+        for form in ("restricted", "full", "Q"):
+            try:
+                want = _bpf_permutation_sum(T, mats, form, field)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    bpf(T, mats, form=form)
+                continue
+            assert bpf(T, mats, form=form) == want
+            checked += 1
+    assert checked >= 50 and refused > 0
 
 
 def test_closed_paths_of_fragment():
