@@ -127,7 +127,13 @@ def cmd_amitsur(args) -> int:
     return 0
 
 
+# power_reduce takes 0.25-0.47 s at t * l = 28 and grows steeply past it.
+POWER_GUARD = 28
+
+
 def cmd_power(args) -> int:
+    if args.t > 0 and args.l > 0 and args.t * args.l > POWER_GUARD:
+        raise ValueError(f"t * l = {args.t * args.l} exceeds guard {POWER_GUARD}")
     _emit_poly(power_reduce(args.t, args.l), Naming.single("a"), args)
     return 0
 
@@ -149,8 +155,7 @@ def cmd_lin(args) -> int:
 def cmd_dp(args) -> int:
     t = args.n - 2 * args.r
     if t < 0:
-        print("need 2r <= n", file=sys.stderr)
-        return 2
+        raise ValueError("need 0 <= 2r <= n")
     _emit_poly(sigma_tr(t, args.r), Naming.xyz(1, 1, 1), args)
     return 0
 

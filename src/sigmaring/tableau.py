@@ -31,7 +31,12 @@ Pfaffians; a multilinear tableau costs 2^n Pfaffians and is refused
 beyond n = DEGREE_GUARD = 10.  A tableau whose arrows of one label and tail
 column end in both columns is refused: the identity fails there.
 Both rules read the raw entries of `ExactMatrix` rows directly and build
-a field element only for the value they return.
+a field element only for the value they return.  Each Pfaffian is the
+exact rational one, over Q and over F_p alike: _pfaffian clears the
+denominators, bounds the integer Pfaffian by Hadamard's inequality and
+recovers it by the Chinese remainder theorem from skew eliminations on
+ints modulo primes just below 2^62, enough of them for their product to
+exceed twice that bound; no Fraction enters the elimination.
 decompose() recovers that sigma-polynomial combinatorially: closed paths
 of T with its column-2 rows permuted by xi split into transpose pairs
 whose words, when all primitive, contribute sign(xi) * prod
@@ -43,10 +48,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
-from .matrices import ExactMatrix, _reduce, as_element
+from .matrices import ExactMatrix, _is_prime, _reduce, as_element
 from .ring import Monomial, SigmaGen, SigmaPoly
 from .sigmatr import DEGREE_GUARD
 from .words import Letter, Word, canonicalize
@@ -237,30 +242,70 @@ def _pfaffian_coefficient(
     return total / prod(factorial(m) for m in groups.values())
 
 
+_PRIMES: list[int] = []  # the primes below 2^62, descending; found on first use
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below 2^62, i = 0, 1, ..."""
+    while len(_PRIMES) <= i:
+        p = _PRIMES[-1] - 2 if _PRIMES else 2**62 - 1
+        while not _is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[i]
+
+
 def _pfaffian(m: list[list]) -> Fraction:
-    """Pfaffian of a skew-symmetric matrix over Q by skew Gaussian
-    elimination: Pf [[B, C], [-C^T, D]] = Pf(B) Pf(D + C^T B^-1 C) with B
-    the leading 2 x 2 block, whose entry a = m[0][1] is made nonzero by
-    swapping an index into position 1 (each swap flips the sign)."""
-    a = [[Fraction(v) for v in row] for row in m]
-    pf = Fraction(1)
+    """Exact Pfaffian of a skew-symmetric matrix of ints and Fractions.
+
+    The matrix is scaled by the lcm L of its denominators, so that
+    Pf(m) = Pf(L m) / L^(size/2) with Pf(L m) an integer.  Hadamard's
+    bound H = prod over rows of sum_j a_ij^2 gives Pf^4 = det^2 <= H.  The
+    integer Pfaffian is computed modulo primes just below 2^62
+    (_pfaffian_mod) until their product M satisfies M^4 > 16 H, i.e.
+    M > 2 |Pf|, and recovered exactly by the Chinese remainder theorem as
+    the representative in (-M/2, M/2]."""
+    scale = lcm(*(v.denominator for row in m for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
+    bound = 16 * prod(sum(v * v for v in row) for row in a)
+    residue, modulus, i = 0, 1, 0
+    while modulus**4 <= bound:
+        p = _prime(i)
+        r = _pfaffian_mod(a, p)
+        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+        i += 1
+    if residue > modulus // 2:
+        residue -= modulus
+    return Fraction(residue, scale ** (len(m) // 2))
+
+
+def _pfaffian_mod(m: list[list[int]], p: int) -> int:
+    """Pfaffian mod p of a skew-symmetric integer matrix by skew Gaussian
+    elimination over F_p: Pf [[B, C], [-C^T, D]] = Pf(B) Pf(D + C^T B^-1 C)
+    with B the leading 2 x 2 block, whose entry a = m[0][1] is made
+    nonzero mod p by swapping an index into position 1 (each swap flips
+    the sign)."""
+    a = [[v % p for v in row] for row in m]
+    pf = 1
     while a:
         piv = next((j for j in range(1, len(a)) if a[0][j]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != 1:
             a[1], a[piv] = a[piv], a[1]
             for row in a:
                 row[1], row[piv] = row[piv], row[1]
             pf = -pf
         pivot = a[0][1]
-        pf *= pivot
-        q0, q1 = a[0][2:], a[1][2:]
+        pf = pf * pivot % p
+        inv = pow(pivot, -1, p)
+        q0, q1 = a[0][2:], [v * inv % p for v in a[1][2:]]
         a = [
-            [v + (q1[i] * q0[j] - q0[i] * q1[j]) / pivot for j, v in enumerate(row[2:])]
+            [(v + q1[i] * q0[j] - q0[i] * q1[j]) % p for j, v in enumerate(row[2:])]
             for i, row in enumerate(a[2:])
         ]
-    return pf
+    return pf % p
 
 
 def _coefficient(values: list[Fraction], k: int) -> Fraction:

@@ -64,6 +64,31 @@ def test_power_text(capsys):
     assert out == "tr[a]^2 - 2*s2[a]\n"
 
 
+def test_power_beyond_guard_exits_two(capsys, monkeypatch):
+    # power_reduce(30, 2) would run for minutes; the guard on t * l
+    # refuses it before the expansion starts
+    calls = []
+    power_reduce = cli.power_reduce
+
+    def expansion(t, l):
+        if t < 1 or l < 1:
+            return power_reduce(t, l)  # refuses them itself
+        if t * l > 28:
+            raise AssertionError("expanded past the power guard")
+        calls.append((t, l))
+        return power_reduce(1, 2)
+
+    monkeypatch.setattr(cli, "power_reduce", expansion)
+    code, out, err = run(capsys, "power", "-t", "30", "-l", "2")
+    assert (code, out, err) == (2, "", "error: t * l = 60 exceeds guard 28\n")
+    code, _, err = run(capsys, "power", "-t", "1", "-l", "29")
+    assert (code, err) == (2, "error: t * l = 29 exceeds guard 28\n")
+    code, _, err = run(capsys, "power", "-t", "-30", "-l", "-2")
+    assert (code, err) == (2, "error: need t >= 1 and l >= 1\n")
+    assert calls == []
+    assert run(capsys, "power", "-t", "14", "-l", "2")[0] == 0 and calls == [(14, 2)]
+
+
 def test_amitsur_golden(capsys):
     code, out, _ = run(capsys, "amitsur", "-t", "2", "[a] + [b]", "--json")
     assert code == 0
@@ -114,9 +139,9 @@ def test_dp_beyond_degree_guard_exits_two(capsys):
 
 
 def test_dp_rejects_large_r(capsys):
-    code, _, err = run(capsys, "dp", "-n", "2", "-r", "2")
-    assert code == 2
-    assert "2r" in err
+    for n, r in ((2, 2), (-1, 0)):
+        code, out, err = run(capsys, "dp", "-n", str(n), "-r", str(r))
+        assert (code, out, err) == (2, "", "error: need 0 <= 2r <= n\n")
 
 
 def test_bpf_value_and_mod_p(capsys):

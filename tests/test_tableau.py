@@ -79,6 +79,35 @@ def _bpf_permutation_sum(T: Tableau, mats: dict[int, ExactMatrix], form: str, fi
     return as_element(total * factor, field)
 
 
+# Skew Gaussian elimination on Fractions, kept as the oracle for the
+# modular Pfaffian in src/.
+
+
+def _pfaffian_oracle(m: list[list]) -> Fraction:
+    """Pf [[B, C], [-C^T, D]] = Pf(B) Pf(D + C^T B^-1 C) over Q with B the
+    leading 2 x 2 block, whose entry a = m[0][1] is made nonzero by
+    swapping an index into position 1 (each swap flips the sign)."""
+    a = [[Fraction(v) for v in row] for row in m]
+    pf = Fraction(1)
+    while a:
+        piv = next((j for j in range(1, len(a)) if a[0][j]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != 1:
+            a[1], a[piv] = a[piv], a[1]
+            for row in a:
+                row[1], row[piv] = row[piv], row[1]
+            pf = -pf
+        pivot = a[0][1]
+        pf *= pivot
+        q0, q1 = a[0][2:], a[1][2:]
+        a = [
+            [v + (q1[i] * q0[j] - q0[i] * q1[j]) / pivot for j, v in enumerate(row[2:])]
+            for i, row in enumerate(a[2:])
+        ]
+    return pf
+
+
 # Two more sign computations, kept as oracles for the ones in src/.
 
 
@@ -291,6 +320,83 @@ def test_bpf_routes_T_to_pfaffian(monkeypatch):
     assert bpf(build_T(3, 0), {1: a}) == a.det() and calls == [6]
     calls.clear()
     assert bpf(build_T(0, 0), {}) == 1 and calls == [0]
+
+
+def skew(size: int, entry) -> list[list]:
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            m[i][j] = entry()
+            m[j][i] = -m[i][j]
+    return m
+
+
+P61 = 2**61 - 1
+
+
+def test_pfaffian_matches_fraction_oracle():
+    """Seeded skew matrices of even size 0-16: small and 10^12-sized ints,
+    Fractions, mostly-zero (often singular) matrices and raw values mod
+    2^61 - 1; one odd size, whose Pfaffian is 0."""
+    rng = random.Random("pfaffian")
+    entries = [
+        lambda: rng.randint(-9, 9),
+        lambda: rng.randint(-(10**12), 10**12),
+        lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
+        lambda: rng.choice([0, 0, 0, rng.randint(-3, 3)]),
+        lambda: rng.randrange(P61),
+    ]
+    seen = set()
+    for size in range(0, 17, 2):
+        for entry in entries:
+            for _ in range(3):
+                m = skew(size, entry)
+                want = _pfaffian_oracle(m)
+                assert tableau._pfaffian(m) == want, (size, m)
+                seen.add(want == 0)
+    assert seen == {True, False}
+    m = skew(5, lambda: rng.randint(-9, 9))
+    assert tableau._pfaffian(m) == _pfaffian_oracle(m) == 0
+
+
+def test_pfaffian_beyond_one_prime(monkeypatch):
+    """|Pf| = 2^80 exceeds every prime below 2^62: the residues of more
+    than one prime are combined, with the sign kept."""
+    primes = []
+    pfaffian_mod = tableau._pfaffian_mod
+
+    def counted(m, p):
+        primes.append(p)
+        return pfaffian_mod(m, p)
+
+    monkeypatch.setattr(tableau, "_pfaffian_mod", counted)
+    big = 2**40
+    m = [[0, big, 0, 0], [-big, 0, 0, 0], [0, 0, 0, big], [0, 0, -big, 0]]
+    assert tableau._pfaffian(m) == _pfaffian_oracle(m) == 2**80
+    assert len(primes) > 1 and all(p < 2**62 for p in primes)
+    m[0][1], m[1][0] = -big, big
+    assert tableau._pfaffian(m) == -(2**80)
+    m[0][1], m[1][0] = Fraction(-big, 3), Fraction(big, 3)
+    assert tableau._pfaffian(m) == _pfaffian_oracle(m) == Fraction(-(2**80), 3)
+
+
+def test_pfaffian_of_ci_large_prime_bpf(monkeypatch):
+    """The Pfaffians that `bpf -t 1 -r 1 --field fp:2305843009213693951`
+    builds from the raw values mod 2^61 - 1 equal the oracle's."""
+    T = build_T(1, 1)
+    mats = {k: random_matrix(3, k, field=P61) for k in T.labels()}
+    seen = []
+    pfaffian = tableau._pfaffian
+
+    def compared(m):
+        seen.append(m)
+        got = pfaffian(m)
+        assert got == _pfaffian_oracle(m)
+        return got
+
+    monkeypatch.setattr(tableau, "_pfaffian", compared)
+    assert bpf(T, mats) == _bpf_permutation_sum(T, mats, "restricted", P61)
+    assert len(seen) == 2 and max(abs(v) for m in seen for row in m for v in row) > 2**60
 
 
 def test_bpf_beyond_n6_matches_sigma():
