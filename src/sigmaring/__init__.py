@@ -47,7 +47,6 @@ from .sigmatr import (
 from .matrices import (
     EvalContext,
     ExactMatrix,
-    Fp,
     matrix_from_json_obj,
     random_matrix,
     random_symmetric,

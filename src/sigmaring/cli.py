@@ -41,7 +41,7 @@ from .relations import (
     write_certificates,
 )
 from .ring import lin, normalize, parse_poly, poly_json_obj, poly_text, power_reduce
-from .sigmatr import sigma_tr
+from .sigmatr import _check_degree, sigma_tr
 from .tableau import bpf, build_T
 from .words import Naming, canonicalize, parse_lincomb, parse_word, word_text
 
@@ -93,6 +93,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    _check_degree(args.t + 2 * args.r)
     q = Quiver(1, 1, 1)
     naming = Naming.xyz(1, 1, 1)
     cycles = q.closed_cycles({1: args.t, 2: args.r, 3: args.r})

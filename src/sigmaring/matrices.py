@@ -12,8 +12,8 @@ Every matrix entry is a raw value, one representation for both fields
 (`_reduce`): over Q an `int` where a value is integral and a `Fraction` only
 where it is not, over F_p the least nonnegative `int` representative.
 `ExactMatrix` rows hold raw values, and EvalContext computes on them.
-`Fraction` and `Fp` objects appear only in the values returned to the
-caller, such as those of `sigma`, `det` and `eval_poly`.
+The values returned to the caller, such as those of `sigma`, `det` and
+`eval_poly`, are `Fraction`s over Q and those same ints in [0, p) over F_p.
 """
 
 from __future__ import annotations
@@ -68,85 +68,6 @@ def _check_prime(p: int) -> int:
         raise ValueError(f"{p} is not prime")
     _checked_primes.add(p)
     return p
-
-
-class Fp:
-    """Element of F_p, p an odd prime."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p: int):
-        object.__setattr__(self, "v", _raw(v, _check_prime(p)))
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fp is immutable")
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Fp(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Fp(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Fp(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Fp(o.v - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Fp(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else o / self
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __pow__(self, k: int):
-        return Fp(pow(self.v, k, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = Fp(other, self.p)
-            except ZeroDivisionError:
-                return False
-        return isinstance(other, Fp) and other.p == self.p and other.v == self.v
-
-    def __hash__(self):
-        # equal to the hash of the int it equals, as Fraction(3) hashes like 3
-        return hash(self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-    def __str__(self):
-        return str(self.v)
 
 
 def _dot(xs, ys):
@@ -205,20 +126,15 @@ def field_of(spec) -> object:
 
 
 def as_element(value, field):
-    if field == "Q":
-        return Fraction(_raw(value, field))
-    return Fp(value, field)
+    """value as returned to the caller: a Fraction over Q, the least
+    nonnegative int representative over F_p."""
+    raw = _raw(value, field)
+    return Fraction(raw) if field == "Q" else raw
 
 
 def _raw(v, field):
-    """The raw value in field of an entry given as an int, a Fraction, a
-    string such as "1/2" or an Fp."""
-    if isinstance(v, Fp):
-        if field == "Q":
-            raise ValueError("cannot map a modular value into Q")
-        if v.p != field:
-            raise ValueError("mixed characteristics")
-        return v.v
+    """The raw value in field of an entry given as an int, a Fraction or a
+    string such as "1/2"."""
     if type(v) is int:
         return v if field == "Q" else v % field
     return _reduce(Fraction(v), field)
@@ -269,7 +185,7 @@ class ExactMatrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        c = as_element(c, self.field)
+        c = _raw(c, self.field)
         return self._like([[c * v for v in r] for r in self.rows])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -58,7 +58,7 @@ from fractions import Fraction
 
 from .matrices import EvalContext, _matmul, _sigmas, field_of, random_matrix
 from .ring import Monomial, SigmaPoly, normalize
-from .sigmatr import DEGREE_GUARD, sigma_partial_subst
+from .sigmatr import _check_degree, sigma_partial_subst
 from .words import Letter, LinComb, Naming, Word, parse_word, word_text
 
 EXACT_MAX_N = 2
@@ -179,9 +179,7 @@ def _check_gl_degree(t: int, words: tuple[Word, ...] | list[Word]) -> None:
     """Refuses s_t of words whose degree t * (longest word) exceeds the
     guard that sigma_partial puts on o relations: power_reduce and
     amitsur_expand grow steeply with it."""
-    degree = t * max(len(w) for w in words)
-    if degree > DEGREE_GUARD:
-        raise ValueError(f"total degree {degree} exceeds guard {DEGREE_GUARD}")
+    _check_degree(t * max(len(w) for w in words))
 
 
 def gl_relation_generators(

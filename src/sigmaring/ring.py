@@ -323,7 +323,8 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
     1992), s_t(a_1 + ... + a_p) is the sum of sigma_tbar(a_1, ..., a_p)
     over the compositions tbar of t into p parts; sigma_tbar is the signed
     sum over index sets of the loops x_1..x_p, and a_i = c_i w_i is
-    substituted for x_i.  Zero summands contribute nothing.
+    substituted for x_i.  Zero summands contribute nothing.  Each sigma_tbar
+    has degree t, so t > DEGREE_GUARD is refused by sigma_partial.
     """
     from .sigmatr import sigma_partial  # sigmatr imports this module
 
@@ -342,7 +343,7 @@ def amitsur_expand(t: int, summands: list[tuple[Fraction, Word]]) -> SigmaPoly:
     for bars in itertools.combinations(range(t + p - 1), p - 1):
         edges = (-1,) + bars + (t + p - 1,)
         tbar = tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
-        _add_into(total, substitute(sigma_partial(tbar, (), (), allow_large=True), assignment))
+        _add_into(total, substitute(sigma_partial(tbar, (), ()), assignment))
     return SigmaPoly._of_clean(total)
 
 

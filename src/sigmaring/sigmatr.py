@@ -30,6 +30,12 @@ DEGREE_GUARD = 10
 _cache: dict[tuple, SigmaPoly] = {}
 
 
+def _check_degree(degree: int) -> None:
+    """The one refusal past DEGREE_GUARD, shared by every degree guard."""
+    if degree > DEGREE_GUARD:
+        raise ValueError(f"total degree {degree} exceeds guard {DEGREE_GUARD}")
+
+
 def _signed_sum(q: Quiver, target: dict[int, int], base_exp: int) -> SigmaPoly:
     total: dict[tuple, int] = {}
     for sel in index_sets(q, target):
@@ -43,7 +49,6 @@ def sigma_partial(
     ts: tuple[int, ...],
     rs: tuple[int, ...],
     ss: tuple[int, ...],
-    allow_large: bool = False,
 ) -> SigmaPoly:
     """sigma_{tbar, rbar, sbar} over letters x_1..x_u, y_1..y_v, z_1..z_w."""
     ts, rs, ss = tuple(ts), tuple(rs), tuple(ss)
@@ -51,12 +56,7 @@ def sigma_partial(
         raise ValueError("block degrees must be nonnegative")
     if sum(rs) != sum(ss):
         raise ValueError("unbalanced blocks: sum(rbar) must equal sum(sbar)")
-    degree = sum(ts) + sum(rs) + sum(ss)
-    if degree > DEGREE_GUARD and not allow_large:
-        raise ValueError(
-            f"total degree {degree} exceeds guard {DEGREE_GUARD}; "
-            "pass allow_large=True to force"
-        )
+    _check_degree(sum(ts) + sum(rs) + sum(ss))
     key = ("partial", ts, rs, ss)
     if key in _cache:
         return _cache[key]
@@ -67,17 +67,17 @@ def sigma_partial(
     return result
 
 
-def sigma_tr(t: int, r: int, allow_large: bool = False) -> SigmaPoly:
+def sigma_tr(t: int, r: int) -> SigmaPoly:
     """sigma_{t,r}(x, y, z); sigma_{0,0} = 1 and sigma_{t,0} = s_t(x)."""
     if t < 0 or r < 0:
         raise ValueError("t and r must be nonnegative")
-    return sigma_partial((t,), (r,), (r,), allow_large=allow_large)
+    return sigma_partial((t,), (r,), (r,))
 
 
-def sigma_lin(u: int, v: int, allow_large: bool = False) -> SigmaPoly:
+def sigma_lin(u: int, v: int) -> SigmaPoly:
     """Fully multilinear form sigma_{1^u, 1^v, 1^v}; every j_i is forced
     to 1, so every monomial is a product of plain traces."""
-    return sigma_partial((1,) * u, (1,) * v, (1,) * v, allow_large=allow_large)
+    return sigma_partial((1,) * u, (1,) * v, (1,) * v)
 
 
 def sigma_partial_subst(

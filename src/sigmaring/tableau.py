@@ -30,8 +30,9 @@ coefficient is interpolated in one weight from at most n // 2 + 1
 Pfaffians; a multilinear tableau costs 2^n Pfaffians and is refused
 beyond n = DEGREE_GUARD = 10.  A tableau whose arrows of one label and tail
 column end in both columns is refused: the identity fails there.
-Both rules read the raw entries of `ExactMatrix` rows directly and build
-a field element only for the value they return.  Each Pfaffian is the
+Both rules read the raw entries of `ExactMatrix` rows directly and map
+only the value they return into the field: a Fraction over Q, an int in
+[0, p) over F_p.  Each Pfaffian is the
 exact rational one, over Q and over F_p alike: _pfaffian clears the
 denominators, bounds the integer Pfaffian by Hadamard's inequality and
 recovers it by the Chinese remainder theorem from skew eliminations on
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 from .matrices import ExactMatrix, _is_prime, _reduce, as_element
 from .ring import Monomial, SigmaGen, SigmaPoly
-from .sigmatr import DEGREE_GUARD
+from .sigmatr import _check_degree
 from .words import Letter, Word, canonicalize
 
 Cell = tuple[int, int]  # (column, row), both 1-based
@@ -161,7 +162,8 @@ def bpf(T: Tableau, mats: dict[int, ExactMatrix], form: str = "restricted"):
     """Evaluate the tableau function; form is "restricted", "full" or "Q"
     (full divided by the label-multiplicity factorials; needs those
     factorials invertible in the field).  Every form is read off the one
-    Pfaffian of _pfaffian_coefficient."""
+    Pfaffian of _pfaffian_coefficient.  The value is a Fraction over Q and
+    an int in [0, p) over F_p."""
     if form not in ("restricted", "full", "Q"):
         raise ValueError(f"unknown form {form!r}")
     n = T.n
@@ -231,8 +233,7 @@ def _pfaffian_coefficient(
         points = n // 2 + 1 if lam else 1  # without lambda Pf is one constant
         values = [pf({g: v if g == lam else 1 for g in groups}) for v in range(points)]
         return _coefficient(values, groups.get(lam, 0))
-    if n > DEGREE_GUARD:
-        raise ValueError(f"total degree {n} exceeds guard {DEGREE_GUARD}")
+    _check_degree(n)
     total = Fraction(0)
     for point in product(*(range(m + 1) for m in groups.values())):
         weight = prod(

@@ -89,9 +89,10 @@ def kind_mats(T, x, y, z):
     return {lab: by_kind[T.kinds[lab]] for lab in T.labels()}
 
 
-def interp_coeffs(points):
+def interp_coeffs(points, p=None):
     """Exact polynomial coefficients (low degree first) through the given
-    (x, y) points; works over any field the values live in."""
+    (x, y) points: over Q on Fractions, over F_p (p given) on ints in
+    [0, p), inverting by pow(x, -1, p)."""
     zero = points[0][1] * 0
     one = zero + 1
     out = [zero] * len(points)
@@ -104,10 +105,10 @@ def interp_coeffs(points):
             shifted = [zero] + num
             num = [a - b * xj for a, b in zip(shifted, num + [zero])]
             denom = denom * (xi - xj)
-        scale = yi / denom
+        scale = yi / denom if p is None else yi * pow(denom, -1, p)
         for k, c in enumerate(num):
             out[k] = out[k] + c * scale
-    return out
+    return out if p is None else [c % p for c in out]
 
 
 def xyz_context(n, seed, field="Q", dens=(1, 2, 3)):
@@ -440,7 +441,7 @@ def test_criterion_13_characteristic_p_coherence(capsys):
                     (as_element(lam, p), dp(r, xp + E.scale(lam), yp, zp))
                     for lam in range(t + 1)
                 ]
-                coeffs = interp_coeffs(pts)
+                coeffs = interp_coeffs(pts, p)
                 ctx_q = EvalContext({1: xq, 2: yq, 3: zq})
                 for i in range(t + 1):
                     low = sigma_tr(t - i, r)

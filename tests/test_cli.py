@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaring import cli, ring, tableau
+from sigmaring import cli, ring, sigmatr, tableau
 from sigmaring.cli import main
 from sigmaring.matrices import EvalContext, random_matrix
+from sigmaring.quiver import Quiver
 from sigmaring.sigmatr import sigma_lin, sigma_tr
 from sigmaring.tableau import build_T
 
@@ -115,6 +116,33 @@ def test_cycles_golden(capsys):
     assert json.loads(out) == golden("cycles_1_1.json")
 
 
+def test_cycles_beyond_degree_guard_exits_two(capsys, monkeypatch):
+    # cycles shares the guard of sigma-tr on t + 2r: -t 6 -r 6 ran past 30 s
+    code, out, err = run(capsys, "cycles", "-t", "0", "-r", "5")
+    assert (code, err) == (0, "") and out
+
+    def enumeration(*args):
+        raise AssertionError("enumerated past the degree guard")
+
+    monkeypatch.setattr(Quiver, "closed_cycles", enumeration)
+    for t, r, degree in (("6", "6", 18), ("7", "3", 13), ("11", "0", 11)):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "cycles", "-t", t, "-r", r, *extra)
+            assert (code, out) == (2, "")
+            assert err == f"error: total degree {degree} exceeds guard 10\n"
+
+
+def test_lin_beyond_degree_guard_exits_two(capsys, monkeypatch):
+    # s_11 of a sum of eleven letters expands through sigma_partial of degree
+    # 11, which is refused before any index set is enumerated
+    def enumeration(*args):
+        raise AssertionError("enumerated past the degree guard")
+
+    monkeypatch.setattr(sigmatr, "_signed_sum", enumeration)
+    code, out, err = run(capsys, "lin", "-d", "1", "s11[x1]")
+    assert (code, out, err) == (2, "", "error: total degree 11 exceeds guard 10\n")
+
+
 def test_lin_round_trip(capsys):
     # Lin of s2[x1] lives in letters x1, x2.
     code, out, _ = run(capsys, "lin", "-d", "1", "s2[x1]")
@@ -135,7 +163,7 @@ def test_dp_beyond_degree_guard_exits_two(capsys):
     code, out, err = run(capsys, "dp", "-n", "11", "-r", "0")
     assert (code, out) == (2, "")
     assert err == run(capsys, "sigma-tr", "-t", "11", "-r", "0")[2]
-    assert err == "error: total degree 11 exceeds guard 10; pass allow_large=True to force\n"
+    assert err == "error: total degree 11 exceeds guard 10\n"
 
 
 def test_dp_rejects_large_r(capsys):
@@ -181,7 +209,7 @@ def test_bpf_beyond_n6_matches_sigma(capsys, extra):
     if extra == ["--multilinear"]:
         want = EvalContext(mats).eval_poly(sigma_lin(1, 3))
     else:
-        want = EvalContext(mats).eval_poly(sigma_tr(1, 3)) * (36 if "full" in extra else 1)
+        want = EvalContext(mats).eval_poly(sigma_tr(1, 3)) * (36 if "full" in extra else 1) % 7
     assert out == f"{want}\n"
 
 

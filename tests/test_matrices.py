@@ -8,74 +8,56 @@ import pytest
 from sigmaring.matrices import (
     EvalContext,
     ExactMatrix,
-    Fp,
     _check_prime,
     _is_prime,
     _sigmas,
     as_element,
+    field_of,
     matrix_from_json_obj,
     random_matrix,
     random_symmetric,
 )
 from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
+from sigmaring.sigmatr import sigma_tr
+from sigmaring.tableau import bpf, build_T
 from sigmaring.words import Letter, Word, canonicalize
 
+# The oracles below compute over Q on Fractions. Over F_p they take the raw
+# entries, ints in [0, p), as rationals and map the result by `as_element`
+# (the least nonnegative residue): Z_(p) -> F_p is a ring map, so that is
+# the value over F_p.
 
-def elements(m: ExactMatrix) -> list[list]:
-    """The entries of m as Fraction/Fp objects."""
-    return [[as_element(v, m.field) for v in row] for row in m.rows]
+
+def elements(m: ExactMatrix) -> list[list[Fraction]]:
+    """The raw entries of m as Fractions."""
+    return [[Fraction(v) for v in row] for row in m.rows]
 
 
 def object_product(a: list[list], b: list[list]) -> list[list]:
-    """Product of square matrices of Fraction/Fp objects, n >= 1."""
+    """Product of square matrices of Fractions, n >= 1."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def trace(m: ExactMatrix):
     e = elements(m)
-    return sum((e[i][i] for i in range(m.n)), as_element(0, m.field))
+    return as_element(sum(e[i][i] for i in range(m.n)), m.field)
 
 
 def leibniz_det(m: ExactMatrix):
     """Independent determinant: signed permutation expansion."""
     n, e = m.n, elements(m)
-    total = as_element(0, m.field)
+    total = Fraction(0)
     for perm in itertools.permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        term = as_element(1, m.field) * sign
+        term = Fraction(sign)
         for i in range(n):
             term = term * e[i][perm[i]]
         total = total + term
-    return total
-
-
-def test_fp_arithmetic():
-    a, b = Fp(3, 5), Fp(4, 5)
-    assert a + b == 2 and a - b == 4 and a * b == 2
-    assert a / b == Fp(2, 5)  # 3 * 4^-1 = 3 * 4 = 12 = 2 (mod 5)
-    assert -a == 2 and a**3 == 2
-    assert Fp(Fraction(1, 2), 5) == 3
-    assert bool(Fp(0, 7)) is False
-    with pytest.raises(ZeroDivisionError):
-        Fp(Fraction(1, 5), 5)
-    with pytest.raises(ValueError):
-        Fp(1, 2)
-    with pytest.raises(ValueError):
-        Fp(1, 9)
-    with pytest.raises(ValueError):
-        Fp(1, 5) + Fp(1, 7)
-
-
-def test_fp_hash_agrees_with_eq():
-    assert Fp(3, 5) == 3 and hash(Fp(3, 5)) == hash(3)
-    assert 3 in {Fp(3, 5)}
-    assert Fp(3, 5) in {3}
-    assert Fp(-2, 5) in {3}
-    assert len({Fp(3, 5), Fp(8, 5), 3, Fraction(3)}) == 1
+    return as_element(total, m.field)
 
 
 def strong_probable_prime(n: int, a: int) -> bool:
@@ -120,7 +102,7 @@ def test_check_prime_bound_and_large_prime():
     with pytest.raises(ValueError, match="^characteristic 2 is not supported$"):
         _check_prime(2)
     with pytest.raises(ValueError, match="^9 is not prime$"):
-        Fp(1, 9)
+        field_of(9)
 
 
 @pytest.mark.parametrize("field", ["Q", 5, 7])
@@ -139,11 +121,11 @@ def test_sigma_matches_principal_minor_leibniz(field, n):
     for trial in range(3):
         m = random_matrix(n, 1700 + 10 * n + trial, field=field)
         for t in range(n + 2):
-            want = as_element(0, m.field)
+            want = 0
             for rows in itertools.combinations(range(n), t):
                 sub = ExactMatrix([[m.rows[i][j] for j in rows] for i in rows], field)
                 want = want + leibniz_det(sub)
-            assert m.sigma(t) == want, (t, m)
+            assert m.sigma(t) == as_element(want, field), (t, m)
     assert m.det() == m.sigma(n)
 
 
@@ -184,7 +166,7 @@ def test_random_matrix_determinism_and_reduction():
     b = random_matrix(3, 42, field=7)
     for i in range(3):
         for j in range(3):
-            assert b.rows[i][j] == Fp(a.rows[i][j], 7)
+            assert b.rows[i][j] == a.rows[i][j] % 7
 
 
 def test_random_symmetric():
@@ -233,9 +215,35 @@ def is_raw(v, field) -> bool:
     return type(v) is int and 0 <= v < field
 
 
+def is_returned(v, field) -> bool:
+    """A value as the API returns it: a Fraction over Q, an int in [0, p)
+    over F_p."""
+    return type(v) is Fraction if field == "Q" else is_raw(v, field)
+
+
+@pytest.mark.parametrize("field", ["Q", 5, 7, 10007])
+def test_results_are_fractions_over_q_and_residues_over_fp(field):
+    """det, sigma, EvalContext.sigma, eval_poly and bpf return a Fraction
+    over Q and the least nonnegative residue over F_p, equal to the image
+    of the result over Q of the same integer matrices."""
+    mats = {k: random_matrix(3, 60 + k, field=field) for k in (1, 2, 3)}
+    q_mats = {k: random_matrix(3, 60 + k) for k in (1, 2, 3)}
+    w = Word([Letter(1), Letter(2, True)])
+    poly = Fraction(1, 2) * sigma_tr(1, 1) - sigma_of_word(2, w)
+    T = build_T(1, 1)
+
+    def results(ms):
+        ctx = EvalContext(ms)
+        out = [ms[1].det(), ctx.eval_poly(poly), bpf(T, ms), bpf(T, ms, form="full")]
+        out += [ms[1].sigma(t) for t in range(5)]
+        return out + [ctx.sigma(t, w) for t in range(5)]
+
+    got, want = results(mats), results(q_mats)
+    assert all(is_returned(v, field) for v in got), got
+    assert got == [as_element(v, field) for v in want]
+
+
 @pytest.mark.parametrize("field,bad,error,message", [
-    ("Q", Fp(1, 5), ValueError, "^cannot map a modular value into Q$"),
-    (7, Fp(1, 5), ValueError, "^mixed characteristics$"),
     (5, "2/5", ZeroDivisionError, "^denominator of 2/5 vanishes mod 5$"),
 ])
 def test_rows_hold_raw_values(field, bad, error, message):
@@ -279,14 +287,15 @@ def test_matrix_json_roundtrip(field):
 
 
 # ---------------------------------------------------------------------------
-# The int layer of EvalContext against evaluation on Fraction/Fp objects.
+# The int layer of EvalContext against evaluation on Fractions.
 # ---------------------------------------------------------------------------
 
 
 class object_eval_context:
-    """EvalContext computing on Fraction/Fp objects throughout: word
-    products by `object_product`, sigma_t lists by `_sigmas` over the field
-    elements.  The oracle for the int layer."""
+    """EvalContext computing on Fractions throughout: word products by
+    `object_product`, sigma_t lists by `_sigmas` over Q, each value mapped
+    into the field only when it is returned.  The oracle for the int
+    layer."""
 
     def __init__(self, assignment: dict[int, ExactMatrix]):
         if not assignment:
@@ -321,23 +330,28 @@ class object_eval_context:
     def word_matrix(self, w: Word) -> ExactMatrix:
         return ExactMatrix(self._word_elements(w), self.field)
 
-    def sigma(self, t: int, w: Word):
+    def _sigma(self, t: int, w: Word) -> Fraction:
         if t < 0:
             raise ValueError("t must be nonnegative")
         key = tuple(w)
         hit = self._sigmas.get(key)
         if hit is None:
-            hit = self._sigmas[key] = _sigmas(self._word_elements(w), as_element(1, self.field))
-        return hit[t] if t <= self.n else as_element(0, self.field)
+            hit = self._sigmas[key] = _sigmas(self._word_elements(w), Fraction(1))
+        return hit[t] if t <= self.n else Fraction(0)
+
+    def sigma(self, t: int, w: Word):
+        return as_element(self._sigma(t, w), self.field)
 
     def eval_poly(self, p: SigmaPoly):
-        total = as_element(0, self.field)
+        # a coefficient is mapped first, so that a denominator vanishing mod
+        # p is refused even where the sum over Q would cancel it
+        total = Fraction(0)
         for mono, coeff in p.monomials.items():
             term = as_element(coeff, self.field)
             for g in mono:
-                term = term * self.sigma(g.t, g.cycle)
+                term = term * self._sigma(g.t, g.cycle)
             total = total + term
-        return total
+        return as_element(total, self.field)
 
 
 def random_words(rng: random.Random, d: int, count: int) -> list[Word]:
@@ -373,10 +387,8 @@ def fractional_matrix(n: int, seed: int, field) -> ExactMatrix:
 
 
 def assert_same_value(got, want, field):
-    assert type(got) is (Fraction if field == "Q" else Fp), (got, field)
+    assert is_returned(got, field), (got, field)
     assert got == want
-    if field != "Q":
-        assert (got.v, got.p) == (want.v, want.p)
 
 
 @pytest.mark.parametrize("field", ["Q", 5, 7, 10007])
@@ -425,4 +437,4 @@ def test_coefficient_denominator_vanishing_mod_p(p):
     with pytest.raises(ZeroDivisionError, match=message):
         object_eval_context({1: random_matrix(2, 3, field=p)}).eval_poly(poly)
     with pytest.raises(ZeroDivisionError, match=message):
-        Fp(Fraction(1, p), p)
+        as_element(Fraction(1, p), p)

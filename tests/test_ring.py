@@ -261,6 +261,14 @@ def test_amitsur_drops_zero_summands(t):
     assert amitsur_expand(t, [zero_b, zero_d]) == SigmaPoly.zero()
 
 
+def test_amitsur_shares_the_degree_guard():
+    # every composition of t into parts is a sigma_partial of degree t, so
+    # s_11 of a sum is refused by the guard of sigma_partial
+    a, b = AMITSUR_SUMMANDS[:2]
+    with pytest.raises(ValueError, match="^total degree 11 exceeds guard 10$"):
+        amitsur_expand(11, [a, b])
+
+
 def test_amitsur_many_cycles_under_low_recursion_limit():
     # s_9 of a two-word sum has 127 atom cycles; the expansion needs a
     # frame per picked cycle only, at most 9 of them.

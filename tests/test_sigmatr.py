@@ -42,10 +42,12 @@ def test_balance_checked():
 
 
 def test_degree_guard():
-    with pytest.raises(ValueError):
-        sigma_tr(5, 3)  # degree 11
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^total degree 11 exceeds guard 10$"):
+        sigma_tr(5, 3)
+    with pytest.raises(ValueError, match="^total degree 12 exceeds guard 10$"):
         sigma_partial((6,), (3,), (3,))
+    with pytest.raises(ValueError, match="^total degree 11 exceeds guard 10$"):
+        sigma_lin(11, 0)
 
 
 def test_multilinear_generators_are_traces():

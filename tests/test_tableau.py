@@ -203,8 +203,8 @@ def test_apply_tau_moves_only_second_column():
 
 
 def trace(m: ExactMatrix):
-    """Sum of the diagonal as Fraction/Fp objects."""
-    return sum((as_element(m.rows[i][i], m.field) for i in range(m.n)), as_element(0, m.field))
+    """Sum of the diagonal as a returned field value."""
+    return as_element(sum(m.rows[i][i] for i in range(m.n)), m.field)
 
 
 def test_bpf_trace_and_det():
