@@ -21,6 +21,7 @@ errors.  Polynomials print in canonical text form, or as JSON with --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -258,7 +259,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  A subcommand records the name
+    of its command function, which main looks up at call time."""
     ap = argparse.ArgumentParser(
         prog="sigmaring", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, json_output=True, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)
         if json_output:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (
         ValueError, ZeroDivisionError, RecursionError, OSError, KeyError, json.JSONDecodeError
     ) as e:

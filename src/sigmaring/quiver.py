@@ -17,21 +17,28 @@ deg_y + deg_z is class-invariant because closed paths cross between the two
 vertices an even number of times).
 
 The cost follows the output: closed_cycles walks only prefixes that can
-still end in a canonical word and builds a Word only for a cycle it returns;
-index_sets packs each multidegree into one int with a guard bit per
-component, so whether a cycle fits is one subtraction and one mask.
+still end in a canonical word and builds a Word only for a cycle it returns,
+reading each letter's transpose and degree increments from tables made once
+per call.  index_sets packs each multidegree into one int with a guard bit
+per component, so whether a cycle fits is one subtraction and one mask.
+Fitting is monotone in the remaining degree, so the candidates of a node are
+the cycles that fit its remaining degree and come after its last pick.
+index_sets keeps one ascending list of fitting cycles per distinct remaining
+degree, filtered once from the list of the node that first reached it, and
+cuts it at the last pick by bisection, so a node looks its candidates up
+instead of filtering its parent's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from bisect import bisect_left
+from operator import sub
+from typing import Iterator, NamedTuple
 
-from .words import Letter, Word, least_rotation, transpose_letters
+from .words import Letter, Word, least_rotation
 
 
-@dataclass(frozen=True)
-class QuiverCycle:
+class QuiverCycle(NamedTuple):
     word: Word
     mdeg: tuple[int, ...]
     deg_y: int
@@ -99,22 +106,28 @@ class Quiver:
             raise ValueError("negative degree budget")
         full = list(budget)
         steps = {at: self.steps_from(at) for at in (1, 2)}
+        # per-call tables: each letter's transpose and its (deg_y, deg_z)
+        # increment, which only untransposed y and z letters have
+        flip: dict[Letter, Letter] = {}
+        incr: dict[Letter, tuple[int, int]] = {}
+        for i in range(1, self.d + 1):
+            kind = self.kind(i)
+            for tr in (False, True):
+                lt = Letter(i, tr)
+                flip[lt] = Letter(i, not tr)
+                incr[lt] = (0, 0) if tr else (int(kind == "y"), int(kind == "z"))
         found: list[QuiverCycle] = []
         path: list[Letter] = []
 
         def record():
             seq = tuple(path)
-            if seq > least_rotation(transpose_letters(seq)):
+            if seq > least_rotation(tuple(map(flip.__getitem__, reversed(seq)))):
                 return
             deg_y = deg_z = 0
-            for lt in seq:
-                if not lt.transposed:
-                    k = self.kind(lt.index)
-                    if k == "y":
-                        deg_y += 1
-                    elif k == "z":
-                        deg_z += 1
-            mdeg = tuple(f - b for f, b in zip(full[1:], budget[1:]))
+            for dy, dz in map(incr.__getitem__, seq):
+                deg_y += dy
+                deg_z += dz
+            mdeg = tuple(map(sub, full, budget))[1:]
             found.append(QuiverCycle(Word(seq), mdeg, deg_y, deg_z))
 
         def walk(at: int, period: int):
@@ -173,31 +186,36 @@ def index_sets(q: Quiver, target: dict[int, int]) -> Iterator[tuple[IndexPair, .
     def pack(degrees: tuple[int, ...]) -> int:
         return sum(k << s for k, s in zip(degrees, shifts))
 
+    masses = [pack(c.mdeg) for c in cycles]
+    # rem -> ascending positions of the cycles that fit rem.  A new rem is
+    # filtered from its parent's list, which holds every cycle fitting rem
+    # because the parent's remaining degree is larger.
+    whole = pack(goal)
+    fitting = {whole: list(range(len(cycles)))}
     chosen: list[IndexPair] = []
 
-    def descend(
-        cands: list[tuple[int, QuiverCycle]], rem: int
-    ) -> Iterator[tuple[IndexPair, ...]]:
+    def descend(rem: int, after: int, parent: int) -> Iterator[tuple[IndexPair, ...]]:
         if not rem:
             yield tuple(chosen)
             return  # further cycles would only add degree
-        # A cycle that does not fit the remaining degree never fits a
-        # child's smaller one, so the candidates are filtered once per node.
-        top = rem | guard
-        fits = [c for c in cands if (top - c[0]) & guard == guard]
+        fits = fitting.get(rem)
+        if fits is None:
+            top = rem | guard
+            fits = fitting[rem] = [
+                k for k in fitting[parent] if (top - masses[k]) & guard == guard
+            ]
         # One frame per picked cycle, never per skipped one: a target can
         # have thousands of cycles but picks at most its total degree.
         # Picking from the last cycle down keeps the order of the
         # skip-first recursion.
-        for k in reversed(range(len(fits))):
-            m, cyc = fits[k]
-            rest = fits[k + 1 :]
+        for k in reversed(fits[bisect_left(fits, after) :]):
+            m = masses[k]
             j, nxt = 1, rem
             while ((nxt | guard) - m) & guard == guard:
                 nxt -= m
-                chosen.append((j, cyc))
-                yield from descend(rest, nxt)
+                chosen.append((j, cycles[k]))
+                yield from descend(nxt, k + 1, rem)
                 chosen.pop()
                 j += 1
 
-    yield from descend([(pack(c.mdeg), c) for c in cycles], pack(goal))
+    yield from descend(whole, 0, whole)

@@ -53,8 +53,8 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .matrices import EvalContext, _matmul, _sigmas, field_of, random_matrix
 from .ring import Monomial, SigmaPoly, normalize
@@ -66,8 +66,7 @@ EXACT_MAX_D = 2
 EXACT_MAX_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     kind: str  # "o" or "gl"
     n: int
     d: int

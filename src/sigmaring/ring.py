@@ -597,21 +597,21 @@ def multiplicity_stats(m: Monomial) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _factor_text(gen: SigmaGen, power: int, naming: Naming) -> str:
-    head = "tr" if gen.t == 1 else f"s{gen.t}"
-    body = head + word_text(gen.cycle, naming)
-    return body if power == 1 else f"{body}^{power}"
-
-
 def poly_text(p: SigmaPoly, naming: Naming) -> str:
     monos = p.sorted_monomials()
     if not monos:
         return "0"
+    texts: dict[SigmaGen, str] = {}  # each distinct generator rendered once
     parts = []
     for i, (m, c) in enumerate(monos):
         factors = []
         for gen, grp in itertools.groupby(m):
-            factors.append(_factor_text(gen, len(list(grp)), naming))
+            text = texts.get(gen)
+            if text is None:
+                head = "tr" if gen.t == 1 else f"s{gen.t}"
+                text = texts[gen] = head + word_text(gen.cycle, naming)
+            power = len(list(grp))
+            factors.append(text if power == 1 else f"{text}^{power}")
         mag = abs(c)
         body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
         if not factors and mag == 1:

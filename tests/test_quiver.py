@@ -233,6 +233,12 @@ def skip_first_oracle(q, target):
         # x^4 and (y z)^4 use up a component exactly, at a power of two
         ((1, 1, 1), {1: 4, 2: 2, 3: 2}),
         ((1, 1, 1), {2: 4, 3: 4}),
+        # the sigma-tr targets of the benchmark's kernels workload
+        ((1, 1, 1), {1: 5, 2: 2, 3: 2}),
+        ((1, 1, 1), {1: 2, 2: 3, 3: 3}),
+        # multilinear targets: every selection is a set of distinct cycles
+        ((2, 2, 2), {i: 1 for i in range(1, 7)}),
+        ((4, 2, 2), {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 7: 1}),
     ],
 )
 def test_index_sets_order_matches_skip_first_recursion(blocks, target):

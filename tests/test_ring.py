@@ -28,7 +28,7 @@ from sigmaring.ring import (
     sigma_of_word,
     substitute,
 )
-from sigmaring.sigmatr import sigma_partial
+from sigmaring.sigmatr import sigma_lin, sigma_partial, sigma_tr
 from sigmaring.words import (
     Letter,
     LinComb,
@@ -38,6 +38,7 @@ from sigmaring.words import (
     canonicalize,
     is_primitive,
     parse_word,
+    word_text,
 )
 
 A_ = Naming.single("a")
@@ -561,6 +562,43 @@ def test_poly_text_parse_roundtrip():
     assert poly_text(SigmaPoly.zero(), XYZ) == "0"
     assert poly_text(SigmaPoly.one(), XYZ) == "1"
     assert parse_poly("1 - 1", XYZ) == SigmaPoly.zero()
+
+
+def poly_text_per_factor(p: SigmaPoly, naming: Naming) -> str:
+    """poly_text rendering every factor on its own, generator text and
+    power together."""
+    monos = p.sorted_monomials()
+    if not monos:
+        return "0"
+    parts = []
+    for i, (m, c) in enumerate(monos):
+        factors = []
+        for gen, grp in itertools.groupby(m):
+            power = len(list(grp))
+            body = ("tr" if gen.t == 1 else f"s{gen.t}") + word_text(gen.cycle, naming)
+            factors.append(body if power == 1 else f"{body}^{power}")
+        mag = abs(c)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+        if not factors and mag == 1:
+            body = "1"
+        if i == 0:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+@pytest.mark.parametrize(
+    "make, naming",
+    [
+        (lambda: sigma_tr(5, 2), XYZ),
+        (lambda: sigma_lin(2, 2), Naming.xyz(2, 2, 2)),
+        (lambda: power_reduce(3, 3), A_),  # factors with powers ^k
+    ],
+)
+def test_poly_text_matches_per_factor_rendering(make, naming):
+    p = make()
+    assert poly_text(p, naming) == poly_text_per_factor(p, naming)
 
 
 def poly_from_json_obj(obj: dict, naming: Naming) -> SigmaPoly:

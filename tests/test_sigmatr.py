@@ -65,6 +65,19 @@ def test_sigma_lin_letter_count():
         assert md == {i: 1 for i in range(1, 6)}
 
 
+@pytest.mark.parametrize(
+    "ts, rs, ss, letters",
+    [((1,), (1, 1, 1), (1, 1, 1), 7), ((1, 1, 1, 1), (1, 1), (1, 1), 8)],
+)
+def test_multilinear_monomial_count(ts, rs, ss, letters):
+    # a multilinear target of N letters has N! index sets, as many as the
+    # permutations of its letters, and each gives its own unit monomial;
+    # the degree-8 case is sigma_lin(4, 2)
+    p = sigma_partial(ts, rs, ss)
+    assert len(p.monomials) == math.factorial(letters)
+    assert all(abs(c) == 1 for c in p.monomials.values())
+
+
 def test_subst_identity_args():
     x = LinComb.of(Word([Letter(1)]))
     y = LinComb.of(Word([Letter(2)]))
