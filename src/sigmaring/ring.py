@@ -59,7 +59,6 @@ from .words import (
     mdeg_map,
     parse_word,
     transpose_letters,
-    word_text,
 )
 
 
@@ -229,7 +228,7 @@ class SigmaPoly:
 
     def sorted_monomials(self) -> list[tuple[Monomial, Coeff]]:
         # by degree, then as tuples of generators
-        return sorted(self.monomials.items(), key=lambda it: (sum(g.degree for g in it[0]), it[0]))
+        return [(m, c) for _, _, m, c in _print_order(self)[1]]
 
     def mdeg_of(self, m: Monomial) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -440,7 +439,7 @@ def _multidegree(p: SigmaPoly) -> tuple[tuple[int, int], ...] | None:
     return degs.pop() if degs else ()
 
 
-def _compile(p: SigmaPoly) -> _Plan:
+def _compile(p: SigmaPoly, mdeg: tuple[tuple[int, int], ...] | None) -> _Plan:
     cycles: dict[Word, int] = {}
     gens: dict[SigmaGen, int] = {}
     monos = []
@@ -455,26 +454,29 @@ def _compile(p: SigmaPoly) -> _Plan:
         tuple(cycles),
         tuple((g.t, cycles[g.cycle]) for g in gens),
         tuple(monos),
-        _multidegree(p),
+        mdeg,
     )
 
 
-def _keep_plan(p: SigmaPoly) -> SigmaPoly:
+def _keep_plan(p: SigmaPoly, mdeg: tuple[tuple[int, int], ...]) -> SigmaPoly:
     """Marks p, a cached polynomial that may be substituted into many
-    times, to keep the plan that its first substitution compiles.  Any
-    other polynomial is compiled per call, and one that is never
-    substituted into is never compiled."""
-    object.__setattr__(p, "_plan", None)
+    times, to keep the plan that its first substitution compiles.  mdeg is
+    the multidegree of p (see _multidegree), which the caller knows from
+    the target p was built for, so the plan need not read it off the
+    monomials.  Any other polynomial is compiled per call, and one that is
+    never substituted into is never compiled."""
+    object.__setattr__(p, "_plan", mdeg)
     return p
 
 
 def _plan_of(p: SigmaPoly) -> _Plan:
-    plan = getattr(p, "_plan", False)  # False: not kept; None: not compiled yet
-    if not plan:
-        keep = plan is None
-        plan = _compile(p)
-        if keep:
-            object.__setattr__(p, "_plan", plan)
+    # no _plan: not kept; a multidegree: kept, not compiled yet
+    plan = getattr(p, "_plan", None)
+    if type(plan) is not _Plan:
+        if plan is None:
+            return _compile(p, _multidegree(p))
+        plan = _compile(p, plan)
+        object.__setattr__(p, "_plan", plan)
     return plan
 
 
@@ -597,30 +599,66 @@ def multiplicity_stats(m: Monomial) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _print_order(p: SigmaPoly) -> tuple[list[SigmaGen], list[tuple]]:
+    """The distinct generators of p in order, and the terms of p in print
+    order: by degree, then factor by factor.  A term is (degree, ranks,
+    monomial, coefficient), where ranks are the positions of its factors
+    among the generators: they order the terms as the monomials do, but
+    compare as ints, and no two terms share them."""
+    # in order of first use the generators are nearly sorted already
+    gens = sorted(dict.fromkeys(itertools.chain.from_iterable(p.monomials)))
+    rank = dict(zip(gens, itertools.count())).__getitem__
+    degree = [t * length for t, length, _ in gens].__getitem__
+    terms = [
+        (sum(map(degree, ranks := tuple(map(rank, m)))), ranks, m, c)
+        for m, c in p.monomials.items()
+    ]
+    terms.sort()
+    return gens, terms
+
+
+class _LetterTexts(dict):
+    """Letter -> its text under a naming, rendered on first lookup."""
+
+    def __init__(self, naming: Naming):
+        self.naming = naming
+
+    def __missing__(self, lt: Letter) -> str:
+        text = self[lt] = self.naming.letter_text(lt)
+        return text
+
+
+def _cycle_texts(gens: list[SigmaGen], naming: Naming) -> dict[Word, str]:
+    """The letters of each distinct cycle of gens, rendered once through a
+    per-call letter table."""
+    names = _LetterTexts(naming).__getitem__
+    return {w: " ".join(map(names, w)) for w in dict.fromkeys(map(operator.itemgetter(2), gens))}
+
+
 def poly_text(p: SigmaPoly, naming: Naming) -> str:
-    monos = p.sorted_monomials()
-    if not monos:
+    gens, terms = _print_order(p)
+    if not terms:
         return "0"
-    texts: dict[SigmaGen, str] = {}  # each distinct generator rendered once
+    cycles = _cycle_texts(gens, naming)
+    texts = [("tr[" if t == 1 else f"s{t}[") + cycles[w] + "]" for t, _, w in gens]
+    c0 = terms[0][3]  # the first term shows its sign as a bare "-"
     parts = []
-    for i, (m, c) in enumerate(monos):
-        factors = []
-        for gen, grp in itertools.groupby(m):
-            text = texts.get(gen)
-            if text is None:
-                head = "tr" if gen.t == 1 else f"s{gen.t}"
-                text = texts[gen] = head + word_text(gen.cycle, naming)
-            power = len(list(grp))
-            factors.append(text if power == 1 else f"{text}^{power}")
+    for _, ranks, _, c in terms:
+        if len(set(ranks)) == len(ranks):
+            body = "*".join(map(texts.__getitem__, ranks))
+        else:  # repeated factors print as powers
+            body = "*".join(
+                texts[r] if k == 1 else f"{texts[r]}^{k}"
+                for r, k in ((r, len(list(grp))) for r, grp in itertools.groupby(ranks))
+            )
         mag = abs(c)
-        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
-        if not factors and mag == 1:
+        if mag != 1:
+            body = f"{mag}*{body}" if body else str(mag)
+        elif not body:
             body = "1"
-        if i == 0:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+        parts.append((" - " if c < 0 else " + ") + body)
+    text = "".join(parts)
+    return "-" + text[3:] if c0 < 0 else text[3:]
 
 
 _FACTOR_RE = re.compile(r"(tr|s(\d+))\[([^\]]*)\](?:\^(\d+))?")
@@ -653,15 +691,15 @@ def parse_poly(text: str, naming: Naming) -> SigmaPoly:
 
 
 def poly_json_obj(p: SigmaPoly, naming: Naming) -> dict:
-    terms = []
-    for m, c in p.sorted_monomials():
-        terms.append(
+    gens, terms = _print_order(p)
+    cycles = _cycle_texts(gens, naming)
+    factors = [(t, cycles[w]) for t, _, w in gens]
+    return {
+        "terms": [
             {
                 "coeff": str(c),
-                "gens": [
-                    {"t": g.t, "word": word_text(g.cycle, naming)[1:-1]} for g in m
-                ],
+                "gens": [{"t": t, "word": w} for t, w in map(factors.__getitem__, ranks)],
             }
-        )
-    return {"terms": terms}
-
+            for _, ranks, _, c in terms
+        ]
+    }

@@ -21,7 +21,9 @@ three-letter case x, y, z are letters 1, 2, 3.
 
 from __future__ import annotations
 
-from .quiver import Quiver, index_sets
+from operator import itemgetter
+
+from .quiver import Quiver, QuiverCycle, index_sets
 from .ring import SigmaGen, SigmaPoly, _keep_plan, substitute
 from .words import LinComb
 
@@ -36,13 +38,28 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"total degree {degree} exceeds guard {DEGREE_GUARD}")
 
 
+def _signed_pick(j: int, c: QuiverCycle) -> tuple[int, SigmaGen, int]:
+    """The pair (j, c) of an index set as (j, s_j(c), parity of its term
+    j * (deg_y + deg_z + 1) of the sign exponent)."""
+    return j, SigmaGen(j, c.word), j * (c.deg_y + c.deg_z + 1) & 1
+
+
+_J = itemgetter(0)
+
+
 def _signed_sum(q: Quiver, target: dict[int, int], base_exp: int) -> SigmaPoly:
+    # Distinct index sets give distinct monomials, so each selection sets
+    # its own coefficient.  A selection lists its cycles in cycle order,
+    # which is the generator order for equal j, so ordering its picks by j
+    # alone (sorted is stable) orders its generators.
     total: dict[tuple, int] = {}
-    for sel in index_sets(q, target):
-        xi = base_exp + sum(j * (c.deg_y + c.deg_z + 1) for j, c in sel)
-        gens = tuple(sorted([SigmaGen(j, c.word) for j, c in sel]))
-        total[gens] = total.get(gens, 0) + (-1) ** xi
-    return SigmaPoly._of_clean({m: c for m, c in total.items() if c})
+    for sel in index_sets(q, target, _signed_pick):
+        if sel:
+            _, gens, odd = zip(*sorted(sel, key=_J))
+            total[gens] = -1 if (base_exp + sum(odd)) & 1 else 1
+        else:
+            total[()] = -1 if base_exp & 1 else 1
+    return SigmaPoly._of_clean(total)
 
 
 def sigma_partial(
@@ -63,7 +80,8 @@ def sigma_partial(
     u, v, w = len(ts), len(rs), len(ss)
     q = Quiver(u, v, w)
     target = {i + 1: k for i, k in enumerate(ts + rs + ss)}
-    result = _cache[key] = _keep_plan(_signed_sum(q, target, sum(ts)))
+    mdeg = tuple((i, k) for i, k in target.items() if k)
+    result = _cache[key] = _keep_plan(_signed_sum(q, target, sum(ts)), mdeg)
     return result
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -114,6 +115,14 @@ def test_cycles_golden(capsys):
     code, out, _ = run(capsys, "cycles", "-t", "1", "-r", "1", "--json")
     assert code == 0
     assert json.loads(out) == golden("cycles_1_1.json")
+
+
+def test_cycles_json_digest_pinned(capsys):
+    # any change of the cycles, their order or their fields shows here
+    code, out, _ = run(capsys, "cycles", "-t", "4", "-r", "3", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "1684f3add66056aa4c7b87a8d17f89f011163508de2eb840b6c4dcdbdcf95765"
 
 
 def test_cycles_beyond_degree_guard_exits_two(capsys, monkeypatch):

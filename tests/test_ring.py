@@ -601,6 +601,51 @@ def test_poly_text_matches_per_factor_rendering(make, naming):
     assert poly_text(p, naming) == poly_text_per_factor(p, naming)
 
 
+def by_degree_then_monomial(p: SigmaPoly) -> list:
+    """p's monomial items sorted by a key: degree, then the monomial."""
+    return sorted(p.monomials.items(), key=lambda it: (sum(g.degree for g in it[0]), it[0]))
+
+
+def poly_json_per_factor(p: SigmaPoly, naming: Naming) -> dict:
+    """poly_json_obj rendering every factor on its own."""
+    return {
+        "terms": [
+            {
+                "coeff": str(c),
+                "gens": [{"t": g.t, "word": word_text(g.cycle, naming)[1:-1]} for g in m],
+            }
+            for m, c in by_degree_then_monomial(p)
+        ]
+    }
+
+
+JSON_CASES = [
+    (lambda: sigma_tr(5, 2), XYZ),
+    (lambda: sigma_lin(2, 2), Naming.xyz(2, 2, 2)),
+    (lambda: power_reduce(3, 3), A_),  # repeated factors
+    (lambda: Fraction(5, 3) * sigma_of_word(2, W((1, False))) - SigmaPoly.one(), XYZ),
+    (
+        lambda: parse_poly("s2[x1]*tr[x2] - tr[x1 x1 x2] + 3*tr[x1]^2*tr[x2]", Naming.generic(2)),
+        Naming.generic(2),
+    ),
+    (SigmaPoly.zero, XYZ),
+]
+
+
+@pytest.mark.parametrize("make, naming", JSON_CASES)
+def test_poly_json_matches_per_factor_rendering(make, naming):
+    p = make()
+    assert poly_json_obj(p, naming) == poly_json_per_factor(p, naming)
+
+
+@pytest.mark.parametrize("make, naming", JSON_CASES)
+def test_sorted_monomials_is_degree_then_monomial_order(make, naming):
+    # the print order compares generator ranks; a key over the generators
+    # themselves gives the same order
+    p = make()
+    assert p.sorted_monomials() == by_degree_then_monomial(p)
+
+
 def poly_from_json_obj(obj: dict, naming: Naming) -> SigmaPoly:
     """Inverse of poly_json_obj."""
     out: dict = {}
@@ -680,6 +725,21 @@ def test_uncached_polynomials_keep_no_plan():
     assert plan is not None
     substitute(base, {i: LinComb.of(W((i, True))) for i in range(1, 5)})
     assert base._plan is plan
+
+
+def test_kept_plan_multidegree_is_the_target():
+    """A cached sigma_partial base records its multidegree from its target;
+    it is the one its monomials share."""
+    from sigmaring import sigmatr
+
+    for n, d, budget in ((3, 2, 4), (2, 2, 4)):
+        for _ in o_relation_generators(n, d, budget):
+            pass
+    # and shapes with zero parts, whose letters the monomials do not use
+    sigma_tr(0, 2)
+    sigma_partial((2, 0), (1,), (0, 1))
+    for p in sigmatr._cache.values():
+        assert ring._plan_of(p).mdeg == ring._multidegree(p) is not None
 
 
 @pytest.mark.parametrize("cached", [True, False])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -119,3 +120,76 @@ def test_partial_between_full_and_multilinear():
 
 def test_cache_returns_same_object():
     assert sigma_tr(1, 1) is sigma_tr(1, 1)
+
+
+def balanced_shapes(max_degree):
+    """Every (ts, rs, ss) with nonnegative parts, at most two per block,
+    sum(rs) == sum(ss) and total degree at most max_degree."""
+
+    def blocks(total):
+        yield ()
+        for a in range(total + 1):
+            yield (a,)
+            for b in range(total - a + 1):
+                yield (a, b)
+
+    for ts in blocks(max_degree):
+        for rs in blocks(max_degree - sum(ts)):
+            for ss in blocks(max_degree - sum(ts) - sum(rs)):
+                if sum(rs) == sum(ss):
+                    yield ts, rs, ss
+
+
+def test_monomial_count_is_multinomial():
+    # sigma_{tbar, rbar, sbar} has N! / prod k! monomials over the parts k
+    # of its shape, N their sum: a count independent of the index-set
+    # recursion, which a reused cycle or a class counted twice (a word and
+    # its transpose) breaks
+    shapes = list(balanced_shapes(7))
+    assert len(shapes) == 1047
+    for ts, rs, ss in shapes:
+        parts = ts + rs + ss
+        want = math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+        assert len(sigma_partial(ts, rs, ss).monomials) == want, (ts, rs, ss)
+
+
+# sha256 of poly_text: any change of the printed text, such as another
+# monomial order or factor spelling, shows here
+PINNED = [
+    (
+        lambda: sigma_tr(4, 3),
+        XYZ,
+        "38adc9bcc298aa841d1915eaa472b090e618d4835be17c4ee397f7501ee09914",
+    ),
+    (
+        lambda: sigma_tr(3, 3),
+        XYZ,
+        "fa16ac55eaf77795c260a2756e6b215787863ed3d5c4e2e25d65d0e7a56d1da6",
+    ),
+    (
+        lambda: sigma_tr(2, 4),
+        XYZ,
+        "8c8faedd4bc250b4704b1dfecd13688cfcbce77b1695d52f23c91fa63541d2bd",
+    ),
+    (
+        lambda: sigma_tr(0, 5),
+        XYZ,
+        "3a441149ffbc0597420ebfca3e0daf11384953b605ffc92a9d030d5f12b52269",
+    ),
+    (
+        lambda: sigma_lin(1, 3),
+        Naming.xyz(1, 3, 3),
+        "c7983d500da8a56288c2b765076436f2efd6ded0e6ef0d360d2ea9977c8e0269",
+    ),
+    (
+        lambda: sigma_lin(4, 2),
+        Naming.xyz(4, 2, 2),
+        "9172d2a53348f6d882209be002b35794c3ca29dcc3efc3bcca96a67d3717410a",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, naming, digest", PINNED)
+def test_poly_text_digest_pinned(make, naming, digest):
+    text = poly_text(make(), naming)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
