@@ -33,6 +33,7 @@ from .relations import (
     _check_gl_degree,
     certificate,
     gl_relation_generators,
+    list_relations,
     o_relation_generators,
     poly_degree,
     read_certificates,
@@ -180,7 +181,9 @@ def cmd_bpf(args) -> int:
 def cmd_relations(args) -> int:
     if args.verify == "exact":
         _check_exact_size(args.n, args.d)
-    if args.kind == "o":
+    if args.verify is None:
+        gen = list_relations(args.kind, args.n, args.d, args.max_deg, args.max_word_len)
+    elif args.kind == "o":
         gen = o_relation_generators(args.n, args.d, args.max_deg, args.max_word_len)
     else:
         gen = gl_relation_generators(args.n, args.d, args.max_deg, args.max_word_len)

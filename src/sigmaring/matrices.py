@@ -282,12 +282,17 @@ class EvalContext:
         return as_element(self._sigma_list(w)[t] if t <= self.n else 0, self.field)
 
     def eval_poly(self, p: SigmaPoly):
-        field, n, sigma_list = self.field, self.n, self._sigma_list
+        # An int coefficient enters as is: over F_p the sum is reduced once,
+        # by as_element.
+        field, n, sigmas = self.field, self.n, self._sigmas
         total = 0
         for mono, coeff in p.monomials.items():
-            term = _reduce(coeff, field)
+            term = coeff if type(coeff) is int else _reduce(coeff, field)
             for t, _, cycle in mono:
-                term *= sigma_list(cycle)[t] if t <= n else 0
+                s = sigmas.get(cycle)
+                if s is None:
+                    s = self._sigma_list(cycle)
+                term *= s[t] if t <= n else 0
             total += term
         return as_element(total, field)
 

@@ -18,7 +18,8 @@ remaining budget.  The polynomial of each generator substitutes its
 single-word arguments into the cached sigma_{tbar,rbar,sbar} at word level
 (ring.substitute), which records its degree, the weight of its slots, so
 generation costs about what it emits and poly_degree reads the degree
-without walking the monomials.
+without walking the monomials.  list_relations enumerates the same
+generators, with the same degree guard, and builds no polynomial.
 
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
@@ -31,9 +32,12 @@ exact matrices (matrices._sigmas), and shares them across every relation of
 the process.  A relation is then a linear combination of the generic images
 of its sigma-monomials; each distinct monomial's image is expanded once per
 (n, d), shared across the process, and kept packed into one int (Kronecker
-substitution): a process-wide table numbers the exponent tuples of the
-generic variables, and the coefficient of exponent id i fills a signed
-field of W bits at bit W * i.  The image keeps its height, the largest
+substitution).  Exponent vectors are packed too: a MultiPoly keys each
+term by one int with a field of _EXP_BITS bits per variable, sized from
+the exact caps, so multiplying two terms adds two ints.  A process-wide
+table per number of variables numbers the exponent vectors, and the
+coefficient of exponent id i fills a signed field of W bits at bit
+W * i of the packed image.  The image keeps its height, the largest
 |coefficient|, beside it.  verify_exact scales the coefficients of a
 relation to ints, since a rational sum could cancel across fields, and
 sums coefficient times packed image.  A nonzero sum proves that the
@@ -128,17 +132,11 @@ def _slot_multisets(slots, budget: int):
     yield from rec(0, budget)
 
 
-def o_relation_generators(
-    n: int,
-    d: int,
-    max_total_degree: int | None = None,
-    max_word_len: int = 2,
-):
-    """Yields sigma_{tbar, rbar, sbar} instances with positive parts,
-    sum(tbar) + 2 sum(rbar) > n, word arguments of length <= max_word_len,
-    and total degree within budget; slot order inside each block is
-    canonical, so no instance repeats.  The count grows steeply with the
-    budget, hence the laziness."""
+def _o_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
+    """(tbar, rbar, sbar, arguments, word texts) of each generator that
+    o_relation_generators yields, in its order.  The degree guard of
+    sigma_partial is checked here, so a listing that builds no polynomial
+    is refused at the same generator."""
     if max_total_degree is None:
         max_total_degree = n + 4
     naming = Naming.generic(d)
@@ -170,8 +168,23 @@ def o_relation_generators(
                 continue  # only the overflow shapes vanish
             budget = max_total_degree - x_weight - y_weight
             for ss, _, _, z_args, z_texts in z_within.get((r, budget), ()):
-                poly = sigma_partial_subst(ts, rs, ss, x_args + y_args + z_args)
-                yield Relation("o", n, d, ts, rs, ss, x_texts + y_texts + z_texts, poly)
+                _check_degree(t + 2 * r)
+                yield ts, rs, ss, x_args + y_args + z_args, x_texts + y_texts + z_texts
+
+
+def o_relation_generators(
+    n: int,
+    d: int,
+    max_total_degree: int | None = None,
+    max_word_len: int = 2,
+):
+    """Yields sigma_{tbar, rbar, sbar} instances with positive parts,
+    sum(tbar) + 2 sum(rbar) > n, word arguments of length <= max_word_len,
+    and total degree within budget; slot order inside each block is
+    canonical, so no instance repeats.  The count grows steeply with the
+    budget, hence the laziness."""
+    for ts, rs, ss, args, texts in _o_shapes(n, d, max_total_degree, max_word_len):
+        yield Relation("o", n, d, ts, rs, ss, texts, sigma_partial_subst(ts, rs, ss, args))
 
 
 def _check_gl_degree(t: int, words: tuple[Word, ...] | list[Word]) -> None:
@@ -181,13 +194,9 @@ def _check_gl_degree(t: int, words: tuple[Word, ...] | list[Word]) -> None:
     _check_degree(t * max(len(w) for w in words))
 
 
-def gl_relation_generators(
-    n: int,
-    d: int,
-    max_total_degree: int | None = None,
-    max_word_len: int = 2,
-):
-    """Yields s_t of sums of at most two transpose-free words, t > n."""
+def _gl_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
+    """((t,), (), (), argument, word texts) of each generator that
+    gl_relation_generators yields, in its order, with its degree guard."""
     if max_total_degree is None:
         max_total_degree = n + 4
     naming = Naming.generic(d)
@@ -199,9 +208,35 @@ def gl_relation_generators(
                     continue
                 _check_gl_degree(t, combo)
                 arg = LinComb({w: Fraction(1) for w in combo})
-                poly = normalize(t, arg)
                 texts = tuple(word_text(w, naming)[1:-1] for w in combo)
-                yield Relation("gl", n, d, (t,), (), (), texts, poly)
+                yield (t,), (), (), arg, texts
+
+
+def gl_relation_generators(
+    n: int,
+    d: int,
+    max_total_degree: int | None = None,
+    max_word_len: int = 2,
+):
+    """Yields s_t of sums of at most two transpose-free words, t > n."""
+    for ts, rs, ss, arg, texts in _gl_shapes(n, d, max_total_degree, max_word_len):
+        yield Relation("gl", n, d, ts, rs, ss, texts, normalize(ts[0], arg))
+
+
+def list_relations(
+    kind: str,
+    n: int,
+    d: int,
+    max_total_degree: int | None = None,
+    max_word_len: int = 2,
+):
+    """The relations that o_relation_generators (kind "o") or
+    gl_relation_generators (kind "gl") yields, in the same order and
+    refused at the same one, with poly None: a listing prints no
+    polynomial, so it builds none."""
+    shapes = _o_shapes if kind == "o" else _gl_shapes
+    for ts, rs, ss, _, texts in shapes(n, d, max_total_degree, max_word_len):
+        yield Relation(kind, n, d, ts, rs, ss, texts, None)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +274,15 @@ def verify_randomized(
 class MultiPoly:
     """Sparse exact polynomial over Q in a fixed number of variables.
 
-    Integral coefficients are stored as int and the others as Fraction, so
-    the integer relations never pay for rational arithmetic."""
+    A term's exponent vector is packed into one int, the exponent of
+    variable i in the field of _EXP_BITS bits at bit _EXP_BITS * i, so a
+    product of terms adds two ints.  Integral coefficients are stored as
+    int and the others as Fraction, so the integer relations never pay for
+    rational arithmetic."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict | None = None):
+    def __init__(self, nvars: int, terms: dict[int, int | Fraction] | None = None):
         clean = {}
         for e, c in (terms or {}).items():
             if type(c) is not int:
@@ -252,19 +290,17 @@ class MultiPoly:
                 if c.denominator == 1:
                     c = c.numerator
             if c:
-                clean[tuple(e)] = c
+                clean[e] = c
         self.nvars = nvars
         self.terms = clean
 
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls(nvars, {0: c})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MultiPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls(nvars, {1 << (_EXP_BITS * i): 1})
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
@@ -276,7 +312,7 @@ class MultiPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
@@ -285,6 +321,13 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+
+# Width in bits of one exponent in a packed exponent vector.  Every
+# exponent in an exact check is at most n * len(w) for a word w of a
+# generator, and a generator within the degree cap has len(w) <=
+# EXACT_MAX_DEGREE; _generic_sigma refuses a word beyond the width.
+_EXP_BITS = (EXACT_MAX_N * EXACT_MAX_DEGREE).bit_length()
 
 
 def _generic_matrices(n: int, d: int) -> dict[int, list[list[MultiPoly]]]:
@@ -310,6 +353,10 @@ def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
     key = (n, d, w)
     hit = _generic_sigma_memo.get(key)
     if hit is None:
+        if n * len(w) >= 1 << _EXP_BITS:
+            raise ValueError(
+                f"exponents up to {n * len(w)} overflow a packed field of {_EXP_BITS} bits"
+            )
         gm = _generic_matrices(n, d)
         prod = None
         for lt in w:
@@ -321,18 +368,41 @@ def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
     return hit[t] if t <= n else MultiPoly.const(nv, 0)
 
 
-# Exponent tuple -> its id, one table per process.  Tuples over different
-# numbers of variables differ, so the ids of different (n, d) never collide.
-_exponent_ids: dict[tuple[int, ...], int] = {}
+# Number of variables -> {packed exponent vector -> its id}, one table per
+# process.  Packed vectors over different numbers of variables can be equal
+# ints, so each number of variables numbers its vectors from 0 apart.
+_exponent_ids: dict[int, dict[int, int]] = {}
 
 # Width in bits of the field of one exponent id in a packed image.
 _FIELD_BITS = 32
 
-# (n, d, monomial) -> the generic image of that sigma-monomial, the product
-# of its _generic_sigma factors, packed at _FIELD_BITS, and its height.
-# Relations share few distinct monomials, so each image is expanded once
-# per process; the exact caps bound the number of keys.
-_generic_monomial_memo: dict[tuple, tuple[int, int]] = {}
+
+class _MonomialImages(dict):
+    """sigma-monomial -> the generic image at one (n, d), the product of
+    its _generic_sigma factors, packed at _FIELD_BITS, and its height;
+    built on first lookup."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __missing__(self, mono: Monomial) -> tuple[int, int]:
+        hit = self[mono] = _pack(_generic_image(self.n, self.d, mono), _FIELD_BITS)
+        return hit
+
+
+# (n, d) -> its _MonomialImages.  Relations share few distinct monomials,
+# so each image is expanded once per process; the exact caps bound the
+# number of keys.
+_generic_monomial_memo: dict[tuple[int, int], _MonomialImages] = {}
+
+
+def _monomial_images(n: int, d: int) -> _MonomialImages:
+    images = _generic_monomial_memo.get((n, d))
+    if images is None:
+        images = _generic_monomial_memo[n, d] = _MonomialImages(n, d)
+    return images
 
 
 def _generic_image(n: int, d: int, mono: Monomial) -> MultiPoly:
@@ -346,20 +416,12 @@ def _pack(image: MultiPoly, width: int) -> tuple[int, int]:
     """(sum of c * 2^(width * id(e)) over the terms c * x^e, the largest
     |c|): the image as one int with a signed field per exponent id, and
     its height.  The coefficients of generic images are ints."""
-    ids = _exponent_ids
+    ids = _exponent_ids.setdefault(image.nvars, {})
     packed = height = 0
     for e, c in image.terms.items():
         packed += c << (width * ids.setdefault(e, len(ids)))
         height = max(height, abs(c))
     return packed, height
-
-
-def _generic_monomial(n: int, d: int, mono: Monomial) -> tuple[int, int]:
-    key = (n, d, mono)
-    hit = _generic_monomial_memo.get(key)
-    if hit is None:
-        hit = _generic_monomial_memo[key] = _pack(_generic_image(n, d, mono), _FIELD_BITS)
-    return hit
 
 
 def _check_exact_size(n: int, d: int) -> None:
@@ -381,10 +443,11 @@ def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
         raise ValueError(f"exact mode is capped at degree {EXACT_MAX_DEGREE}")
     terms = poly.monomials
     scale = math.lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+    coeffs = terms.values() if scale == 1 else [(c * scale).numerator for c in terms.values()]
+    images = _monomial_images(n, d)
     total = bound = 0
-    for mono, c in terms.items():
-        c = (c * scale).numerator
-        packed, height = _generic_monomial(n, d, mono)
+    for mono, c in zip(terms, coeffs):
+        packed, height = images[mono]
         total += c * packed
         bound += abs(c) * height
     if total:
@@ -394,8 +457,7 @@ def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
     # A field may have overflowed: redo the sum at a width where none can.
     width = bound.bit_length() + 1
     return not sum(
-        (c * scale).numerator * _pack(_generic_image(n, d, mono), width)[0]
-        for mono, c in terms.items()
+        c * _pack(_generic_image(n, d, mono), width)[0] for mono, c in zip(terms, coeffs)
     )
 
 

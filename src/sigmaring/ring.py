@@ -16,22 +16,19 @@ through the power formula, and canonicalization of every cycle under
 rotation and transpose.
 
 Substitution replaces letters by linear combinations of words.  It works
-from a plan of the substituted polynomial: its distinct cycles, its
-distinct generators, and each monomial as a coefficient with the numbers of
-its generators.  A cached sigma_partial base keeps its plan from its first
-substitution on; any other polynomial is compiled per call.  A call builds
-one image per distinct cycle and one per distinct generator.  When every
-value is a single word with coefficient 1, as for every relation generator
-and every certificate replay, the image of s_t(cycle) is s_t of one word:
-the letters of the assigned words (transposed and reversed for a
-transposed letter) are concatenated, and s_t of that word is memoized for
-the process, as one generator when the word is primitive and as the
-monomial items of its power_reduce polynomial otherwise.  Such substitutions build no LinComb, and an image that is one
-generator joins the monomial as is: only polynomial images are multiplied
-out.  Any other assignment normalizes the LinComb image of each generator
-and multiplies it out.  Generators, monomials and words are tuples (see
-SigmaGen and words.Word), so images multiply out, sort and hash in C, and
-the result is assembled from them with no conversion.
+from a plan of the substituted polynomial (_Plan), compiled once for a
+cached sigma_partial base and per call for any other polynomial: it builds
+one image per distinct generator, then adds the image of every monomial
+into the result in one loop.  When every value is a single word with
+coefficient 1 (LinComb.word), as for every relation generator and every
+certificate replay, the image of s_t(cycle) is s_t of the word that the
+assigned words of its letters spell: those words are numbered once per
+process, the cycle image is keyed by their numbers, and s_t of each word
+is memoized as one generator when the word is primitive and as the
+monomial items of its power_reduce polynomial otherwise.  Only polynomial
+images are multiplied out.  Any other assignment normalizes the LinComb
+image of each generator.  Generators, monomials and words are tuples (see
+SigmaGen and words.Word), so images multiply out, sort and hash in C.
 
 The plan also holds the multidegree of the base when all of its monomials
 share one, as every sigma_partial base does.  A single-word substitution
@@ -48,7 +45,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from typing import ItemsView, NamedTuple
+from typing import ItemsView, Iterable, NamedTuple
 
 from .words import (
     Letter,
@@ -384,48 +381,42 @@ def _word_image(w: Word, assignment: dict[int, LinComb]) -> LinComb:
     return out
 
 
-# Word -> the letters of its transpose, for every word assigned by a
-# single-word substitution of the process.
-_transposed_memo: dict[Word, tuple[Letter, ...]] = {}
+# Word -> the numbers (see _word_number) of its letters and of the letters
+# of its transpose, for every word assigned by a single-word substitution
+# of the process.
+_word_ids: dict[Word, tuple[int, int]] = {}
 
 
-def _assigned_words(assignment: dict[int, LinComb]) -> dict[Letter, tuple[Letter, ...]] | None:
-    """Letter -> letters of its image word when every value is a single
-    word with coefficient 1; a transposed letter gets the transposed word.
-    None for any other assignment.  The keys are plain (index, transposed)
-    tuples, which hash and compare like the letters."""
-    words: dict[Letter, tuple[Letter, ...]] = {}
+def _assigned_words(assignment: dict[int, LinComb]) -> dict[int, int] | None:
+    """Letter code -> number of its image word when every value is a
+    single word with coefficient 1 (LinComb.word); None for any other
+    assignment.  The code of a letter is 2 * index + transposed, and a
+    transposed letter gets the transposed word."""
+    words: dict[int, int] = {}
     for i, lc in assignment.items():
-        if len(lc.terms) != 1:
+        w = lc.word
+        if w is None:
             return None
-        ((w, c),) = lc.terms.items()
-        if c != 1:
-            return None
-        transposed = _transposed_memo.get(w)
-        if transposed is None:
-            transposed = _transposed_memo[w] = transpose_letters(w)
-        words[i, False] = w
-        words[i, True] = transposed
+        pair = _word_ids.get(w)
+        if pair is None:
+            pair = _word_ids[w] = (_word_number(tuple(w)), _word_number(transpose_letters(w)))
+        words[2 * i], words[2 * i + 1] = pair
     return words
-
-
-# Substitution works from a plan of its base polynomial and from the image
-# of each of its generators: either one generator or the (monomial,
-# coefficient) items of a polynomial, in monomial order.  Generators and
-# monomials are tuples, so the images multiply out, sort and hash in C, and
-# the result is assembled from them as is.
 
 
 class _Plan(NamedTuple):
     """A polynomial compiled for substitution: its letter indices, its
-    distinct cycles, its distinct generators as (t, cycle number), its
-    monomials as (coefficient, generator numbers), in monomial order, and
-    its multidegree (see _multidegree)."""
+    distinct generators, its monomials in monomial order, and its
+    multidegree (see _multidegree).  A generator is (t, cycle, key): key
+    takes the word numbers of a single-word substitution (see
+    _assigned_words) to the key of the image of its cycle in
+    _word_sigma_memo, in C.  A monomial is (coefficient, pick, mask): pick
+    takes the list of generator images to the images of its factors, in C,
+    and mask has bit i set when generator i is one of them."""
 
     indices: frozenset[int]
-    cycles: tuple[Word, ...]
-    gens: tuple[tuple[int, int], ...]
-    monos: tuple[tuple[Coeff, tuple[int, ...]], ...]
+    gens: tuple[tuple[int, Word, operator.itemgetter], ...]
+    monos: tuple[tuple[Coeff, operator.itemgetter, int], ...]
     mdeg: tuple[tuple[int, int], ...] | None
 
 
@@ -439,20 +430,25 @@ def _multidegree(p: SigmaPoly) -> tuple[tuple[int, int], ...] | None:
     return degs.pop() if degs else ()
 
 
+def _picker(numbers: list[int]) -> operator.itemgetter:
+    """An itemgetter taking a sequence to its items at numbers, as a
+    sequence; itemgetter(i) alone would return the item itself."""
+    if len(numbers) == 1:
+        return operator.itemgetter(slice(numbers[0], numbers[0] + 1))
+    return operator.itemgetter(*numbers) if numbers else operator.itemgetter(slice(0))
+
+
 def _compile(p: SigmaPoly, mdeg: tuple[tuple[int, int], ...] | None) -> _Plan:
-    cycles: dict[Word, int] = {}
     gens: dict[SigmaGen, int] = {}
     monos = []
     for m, c in p.monomials.items():
         for g in m:
-            if g not in gens:
-                gens[g] = len(gens)
-                cycles.setdefault(g.cycle, len(cycles))
-        monos.append((c, tuple([gens[g] for g in m])))
+            gens.setdefault(g, len(gens))
+        numbers = [gens[g] for g in m]
+        monos.append((c, _picker(numbers), sum(1 << i for i in set(numbers))))
     return _Plan(
-        frozenset(lt.index for w in cycles for lt in w),
-        tuple(cycles),
-        tuple((g.t, cycles[g.cycle]) for g in gens),
+        frozenset(lt.index for g in gens for lt in g.cycle),
+        tuple((t, w, operator.itemgetter(*[2 * i + tr for i, tr in w])) for t, _, w in gens),
         tuple(monos),
         mdeg,
     )
@@ -480,24 +476,80 @@ def _plan_of(p: SigmaPoly) -> _Plan:
     return plan
 
 
+# The image of a generator: one generator, or the (monomial, coefficient)
+# items of a polynomial in monomial order.
 Image = SigmaGen | ItemsView[Monomial, Coeff]
 
-# (t, letters of a word) -> the image of s_t of the word: the generator
-# s_t(root) when the word is primitive, else the monomial items of its
-# power_reduce polynomial.  Shared by every substitute call of the process,
+
+class _WordSigmas(dict):
+    """t -> the image of s_t of one word, computed on first lookup: the
+    generator s_t(root) when the word is primitive, else the monomial
+    items of its power_reduce polynomial."""
+
+    __slots__ = ("word", "root", "power")
+
+    def __init__(self, word: Word):
+        self.word = word
+        self.root, self.power = canonicalize(word)
+
+    def __missing__(self, t: int) -> Image:
+        if self.power == 1:
+            img = self[t] = SigmaGen(t, self.root)
+        else:
+            img = self[t] = sigma_of_word(t, self.word).monomials.items()
+        return img
+
+
+# The words of single-word substitutions and of their cycle images are
+# numbered once per process, equal letters sharing a number:
+# _word_numbers maps letters to the number and _word_rows the number to
+# the _WordSigmas of the word.  Both are shared by every substitute call,
 # like _normalize_memo.
-_word_sigma_memo: dict[tuple[int, tuple[Letter, ...]], Image] = {}
+_word_numbers: dict[tuple[Letter, ...], int] = {}
+_word_rows: list[_WordSigmas] = []
 
 
-def _word_sigma(t: int, letters: tuple[Letter, ...]) -> Image:
-    key = (t, letters)
-    hit = _word_sigma_memo.get(key)
-    if hit is None:
-        w = Word(letters)
-        root, e = canonicalize(w)
-        hit = SigmaGen(t, root) if e == 1 else sigma_of_word(t, w).monomials.items()
-        _word_sigma_memo[key] = hit
-    return hit
+def _word_number(letters: tuple[Letter, ...]) -> int:
+    i = _word_numbers.get(letters)
+    if i is None:
+        i = _word_numbers[letters] = len(_word_rows)
+        _word_rows.append(_WordSigmas(Word(letters)))
+    return i
+
+
+class _WordSigmaMemo(dict):
+    """The word numbers of a cycle image -> the _WordSigmas of the word
+    they spell, looked up on first use.  A one-letter cycle has one
+    number, not a tuple of them."""
+
+    def __missing__(self, key: int | tuple[int, ...]) -> _WordSigmas:
+        i = key if type(key) is int else _word_number(sum([_word_rows[i].word for i in key], ()))
+        row = self[key] = _word_rows[i]
+        return row
+
+
+_word_sigma_memo = _WordSigmaMemo()
+
+
+def _multiply_out(c: Coeff, factors) -> Iterable[tuple[Monomial, Coeff]]:
+    """The (monomial, coefficient) items of c times the product of factors,
+    each a generator or polynomial items, with at least one polynomial.
+    The polynomial factors are multiplied out one at a time, dropping what
+    cancels after each, as SigmaPoly.__mul__ does; a generator factor maps
+    monomials one to one, so the generators join from the start."""
+    gens = tuple([f for f in factors if type(f) is SigmaGen])
+    polys = [f for f in factors if type(f) is not SigmaGen]
+    if len(polys) == 1:  # distinct monomials stay distinct: nothing merges
+        return [(tuple(sorted(gens + m)), c * v) for m, v in polys[0]]
+    term = {tuple(sorted(gens)): c}
+    for img in polys:
+        product: dict[Monomial, Coeff] = {}
+        for m1, c1 in term.items():
+            for m2, c2 in img:
+                m = tuple(sorted(m1 + m2))
+                product[m] = product.get(m, 0) + c1 * c2
+        term = {m: v for m, v in product.items() if v}
+    return term.items()
 
 
 def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
@@ -509,36 +561,35 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
         raise ValueError(f"no assignment for letter indices {sorted(missing)}")
     words = _assigned_words(assignment)
     if words is None:
-        cycle_images = [_word_image(w, assignment) for w in plan.cycles]
-        images = [normalize(t, cycle_images[i]).monomials.items() for t, i in plan.gens]
+        cycles = dict.fromkeys(w for _, w, _ in plan.gens)
+        cycle_images = {w: _word_image(w, assignment) for w in cycles}
+        images = [normalize(t, cycle_images[w]).monomials.items() for t, w, _ in plan.gens]
+        polys = -1  # a mask with the bit of every generator
     else:
-        # cycles are short, so concatenating tuples beats chaining them
-        cycle_images = [sum(map(words.__getitem__, w), ()) for w in plan.cycles]
-        images = [_word_sigma(t, cycle_images[i]) for t, i in plan.gens]
-    poly_images = {i for i, img in enumerate(images) if type(img) is not SigmaGen}
+        memo = _word_sigma_memo
+        images = [memo[key(words)][t] for t, _, key in plan.gens]
+        polys = 0
+        for i, img in enumerate(images):
+            if type(img) is not SigmaGen:
+                polys |= 1 << i
     out: dict[Monomial, Coeff] = {}
-    for c, numbers in plan.monos:
-        if poly_images.isdisjoint(numbers):
-            _add_term(out, tuple(sorted([images[i] for i in numbers])), c)
-            continue
-        gens = [images[i] for i in numbers if i not in poly_images]
-        polys = [images[i] for i in numbers if i in poly_images]
-        # Multiply out the polynomial images one at a time, dropping what
-        # cancels after each, as SigmaPoly.__mul__ does; a generator factor
-        # maps monomials one to one, so it joins from the start.
-        term = {tuple(sorted(gens)): c}
-        for img in polys:
-            product: dict[Monomial, Coeff] = {}
-            for m1, c1 in term.items():
-                for m2, c2 in img:
-                    m = tuple(sorted(m1 + m2))
-                    product[m] = product.get(m, 0) + c1 * c2
-            term = {m: v for m, v in product.items() if v}
-        for m, v in term.items():
-            _add_term(out, m, _int_if_integral(v))
+    get = out.get
+    for c, pick, mask in plan.monos:
+        if mask & polys:
+            terms = _multiply_out(c, pick(images))
+        else:
+            terms = ((tuple(sorted(pick(images))), c),)
+        for m, v in terms:
+            old = get(m)
+            if old is not None:
+                v += old
+                if not v:
+                    del out[m]
+                    continue
+            out[m] = v if type(v) is int else _int_if_integral(v)
     result = SigmaPoly._of_clean(out)
     if words is not None and plan.mdeg is not None:
-        degree = sum(k * len(words[i, False]) for i, k in plan.mdeg) if out else 0
+        degree = sum(k * len(assignment[i].word) for i, k in plan.mdeg) if out else 0
         object.__setattr__(result, "_degree", degree)
     return result
 

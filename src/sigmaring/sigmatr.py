@@ -69,14 +69,15 @@ def sigma_partial(
 ) -> SigmaPoly:
     """sigma_{tbar, rbar, sbar} over letters x_1..x_u, y_1..y_v, z_1..z_w."""
     ts, rs, ss = tuple(ts), tuple(rs), tuple(ss)
+    key = ("partial", ts, rs, ss)
+    hit = _cache.get(key)
+    if hit is not None:  # only shapes that passed the checks below are cached
+        return hit
     if any(k < 0 for k in ts + rs + ss):
         raise ValueError("block degrees must be nonnegative")
     if sum(rs) != sum(ss):
         raise ValueError("unbalanced blocks: sum(rbar) must equal sum(sbar)")
     _check_degree(sum(ts) + sum(rs) + sum(ss))
-    key = ("partial", ts, rs, ss)
-    if key in _cache:
-        return _cache[key]
     u, v, w = len(ts), len(rs), len(ss)
     q = Quiver(u, v, w)
     target = {i + 1: k for i, k in enumerate(ts + rs + ss)}
@@ -108,4 +109,4 @@ def sigma_partial_subst(
     if len(args) != len(ts) + len(rs) + len(ss):
         raise ValueError("argument count does not match block sizes")
     base = sigma_partial(ts, rs, ss)
-    return substitute(base, {i + 1: a for i, a in enumerate(args)})
+    return substitute(base, dict(enumerate(args, 1)))

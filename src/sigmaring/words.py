@@ -119,9 +119,12 @@ def glue(w: Word, d: int) -> Word:
 
 
 class LinComb:
-    """Finite linear combination of words with nonzero rational coefficients."""
+    """Finite linear combination of words with nonzero rational coefficients.
 
-    __slots__ = ("terms",)
+    `word` is the word itself when the combination is one word with
+    coefficient 1, else None, decided once at construction."""
+
+    __slots__ = ("terms", "word")
 
     def __init__(self, terms: dict[Word, Fraction] | None = None):
         clean = {}
@@ -130,6 +133,12 @@ class LinComb:
             if c:
                 clean[w] = c
         object.__setattr__(self, "terms", clean)
+        word = None
+        if len(clean) == 1:
+            ((w, c),) = clean.items()
+            if c == 1:
+                word = w
+        object.__setattr__(self, "word", word)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from sigmaring.relations import (
     certificate,
     enumerate_words,
     gl_relation_generators,
+    list_relations,
     o_relation_generators,
     poly_degree,
     read_certificates,
@@ -35,6 +37,47 @@ def test_gl_relations_share_the_degree_guard():
         assert poly_degree(rel.poly) == 10 and verify_randomized(rel.poly, 1, 2, 2, 3)
     with pytest.raises(ValueError, match="total degree 15 exceeds guard 10"):
         rebuild_relation({**gl, "words": ["x1", "x1 x2 x1"]})
+
+
+@pytest.mark.parametrize(
+    "kind, n, d, budget, max_word_len",
+    [("o", 1, 1, 4, 2), ("o", 2, 2, 4, 2), ("o", 3, 2, 5, 2), ("o", 2, 1, 4, 3), ("gl", 1, 2, 5, 2)],
+)
+def test_listing_matches_the_generators(kind, n, d, budget, max_word_len):
+    build = o_relation_generators if kind == "o" else gl_relation_generators
+    built = list(build(n, d, budget, max_word_len))
+    listed = list(list_relations(kind, n, d, budget, max_word_len))
+    assert [r.describe() for r in listed] == [r.describe() for r in built]
+    assert [r[:-1] for r in listed] == [r[:-1] for r in built]
+    assert all(r.poly is None for r in listed)
+
+
+def test_listing_builds_no_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a listing built a polynomial")
+
+    for name in ("sigma_partial_subst", "normalize"):
+        monkeypatch.setattr(relations, name, refuse)
+    assert len(list(list_relations("o", 3, 2, 6))) == 59423
+    assert len(list(list_relations("gl", 2, 2, 6))) > 0
+
+
+@pytest.mark.parametrize("kind, n, d", [("o", 1, 1), ("o", 2, 2), ("gl", 1, 2)])
+def test_listing_is_refused_at_the_same_relation(monkeypatch, kind, n, d):
+    """With the degree guard lowered to 5, the generators are refused at
+    their first relation of degree 6; the listing is refused there too."""
+    from sigmaring import sigmatr
+
+    monkeypatch.setattr(sigmatr, "DEGREE_GUARD", 5)
+    build = o_relation_generators if kind == "o" else gl_relation_generators
+    runs = []
+    for gen in (build(n, d, 7), list_relations(kind, n, d, 7)):
+        seen = []
+        with pytest.raises(ValueError, match="total degree 6 exceeds guard 5"):
+            for rel in gen:
+                seen.append(rel.describe())
+        runs.append(seen)
+    assert runs[0] == runs[1] and runs[0]
 
 
 def test_enumerate_words_counts():
@@ -416,10 +459,14 @@ def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
             assert verify_exact(*c) == want, c[1:]
         configs.reverse()
         verdicts.reverse()
-    # one id per exponent tuple, over every (n, d) checked
+    # one id per exponent vector, numbered from 0 per number of variables,
+    # over every (n, d) checked
     ids = relations._exponent_ids
-    assert {len(e) for e in ids} == {n * n * d for n in (1, 2) for d in (1, 2)}
-    assert sorted(ids.values()) == list(range(len(ids)))
+    assert {len(unpack(e, nvars)) for nvars, table in ids.items() for e in table} == {
+        n * n * d for n in (1, 2) for d in (1, 2)
+    }
+    for table in ids.values():
+        assert sorted(table.values()) == list(range(len(table)))
 
 
 _oracle_images: dict = {}
@@ -491,7 +538,7 @@ def test_packed_check_is_not_fooled_by_packed_cancellation():
     naming = Naming.generic(2)
     a = parse_poly("tr[x1]*tr[x2]", naming)
     b = parse_poly("tr[x1 x2]", naming)
-    (pa, _), (pb, _) = (relations._generic_monomial(2, 2, m) for m in (*a.monomials, *b.monomials))
+    (pa, _), (pb, _) = (relations._monomial_images(2, 2)[m] for m in (*a.monomials, *b.monomials))
     if pa > pb:
         a, b, pa, pb = b, a, pb, pa
     assert 0 < pa < pb
@@ -522,14 +569,88 @@ def test_poly_degree():
     assert poly_degree(sigma_tr(0, 0)) == 0
 
 
+def unpack(e: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed exponent vector over nvars variables;
+    no field beyond the last variable may be set."""
+    bits = relations._EXP_BITS
+    assert e >> (bits * nvars) == 0
+    return tuple(e >> (bits * i) & ((1 << bits) - 1) for i in range(nvars))
+
+
+def pack(e: tuple[int, ...]) -> int:
+    return sum(k << (relations._EXP_BITS * i) for i, k in enumerate(e))
+
+
+def unpacked(p: MultiPoly) -> dict[tuple[int, ...], object]:
+    return {unpack(e, p.nvars): c for e, c in p.terms.items()}
+
+
 def test_multipoly_ops():
     x = MultiPoly.var(2, 0)
     y = MultiPoly.var(2, 1)
     two = MultiPoly.const(2, 2)
     p = (x + y) * (x + -y)
-    assert p.terms == {(2, 0): 1, (0, 2): -1}
+    assert unpacked(p) == {(2, 0): 1, (0, 2): -1}
     assert not (p + -p)
-    assert (two * x).terms == {(1, 0): 2}
+    assert unpacked(two * x) == {(1, 0): 2}
+
+
+def tuple_product(p, q):
+    """The product of two term dicts keyed by exponent tuples."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_products_match_tuple_products(seed):
+    """Random polynomials over up to 8 variables, products of up to three
+    factors with exponents up to the field limit, against products keyed by
+    exponent tuples; rational coefficients included."""
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    top = (1 << relations._EXP_BITS) - 1
+    for _ in range(20):
+        nvars = rng.randint(1, 8)
+        factors = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                e = tuple(rng.randint(0, top // 3) for _ in range(nvars))
+                terms[e] = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 2)])
+            factors.append(terms)
+        packed = [MultiPoly(nvars, {pack(e): c for e, c in f.items()}) for f in factors]
+        want = factors[0]
+        got = packed[0]
+        for f, p in zip(factors[1:], packed[1:]):
+            want = tuple_product(want, {e: c for e, c in f.items() if c})
+            got = got * p
+        want = {e: c for e, c in want.items() if c}
+        assert unpacked(got) == want
+        assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+        assert unpacked(got + -got) == {} and not (got + -got)
+
+
+def test_generic_sigma_refuses_exponents_beyond_the_field():
+    """Every exponent of sigma_t of a word w at size n is at most n * len(w),
+    so a generator within the exact caps fits the field; a word that could
+    overflow it is refused before anything is expanded."""
+    from sigmaring.words import Letter, Word
+
+    bits = relations._EXP_BITS
+    assert relations.EXACT_MAX_N * EXACT_MAX_DEGREE < 1 << bits
+    top = (1 << bits) - 1
+    # at n = 1 the bound is sharp: sigma_1 of x^k is the monomial x^k
+    assert unpacked(relations._generic_sigma(1, 1, 1, Word([Letter(1)] * top))) == {(top,): 1}
+    memo = dict(relations._generic_sigma_memo)
+    for n, length in ((1, top + 1), (2, (top + 1) // 2)):
+        with pytest.raises(ValueError, match=f"exponents up to {top + 1} overflow"):
+            relations._generic_sigma(n, 1, 1, Word([Letter(1), Letter(1, True)] * (length // 2)))
+    assert relations._generic_sigma_memo == memo
 
 
 def test_certificate_roundtrip(tmp_path):

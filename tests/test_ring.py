@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -488,6 +489,121 @@ def test_substitute_matches_general_oracle(shape, words, coeffs, unit):
     want = general_substitute_oracle(base, assignment)
     assert list(got.monomials.items()) == list(want.monomials.items())
     assert typed_items(got) == typed_items(word_substitute_oracle(base, assignment))
+
+
+def plan_substitute_oracle(p, assignment):
+    """substitute as it was before compiled monomials: a plan of distinct
+    cycles, distinct generators and monomials as generator numbers; images
+    of s_t of the concatenated letters of single-word values, else
+    normalized LinComb images; each monomial sorted and added through
+    ring._add_term, the polynomial images multiplied out one at a time."""
+    cycles, gens, monos = {}, {}, []
+    for m, c in p.monomials.items():
+        for g in m:
+            if g not in gens:
+                gens[g] = len(gens)
+                cycles.setdefault(g.cycle, len(cycles))
+        monos.append((c, [gens[g] for g in m]))
+    missing = {lt.index for w in cycles for lt in w}.difference(assignment)
+    if missing:
+        raise ValueError(f"no assignment for letter indices {sorted(missing)}")
+    words = {}
+    for i, lc in assignment.items():
+        if len(lc.terms) != 1 or next(iter(lc.terms.values())) != 1:
+            words = None
+            break
+        (w,) = lc.terms
+        words[i, False], words[i, True] = tuple(w), tuple(w.T)
+    if words is None:
+        images = [normalize(g.t, ring._word_image(g.cycle, assignment)).monomials.items() for g in gens]
+    else:
+        images = []
+        for g in gens:
+            img = _oracle_word_sigma(g.t, sum((words[lt] for lt in g.cycle), ()))
+            images.append(img if type(img) is SigmaGen else img.monomials.items())
+    poly_images = {i for i, img in enumerate(images) if type(img) is not SigmaGen}
+    out = {}
+    for c, numbers in monos:
+        if poly_images.isdisjoint(numbers):
+            ring._add_term(out, tuple(sorted([images[i] for i in numbers])), c)
+            continue
+        term = {tuple(sorted(images[i] for i in numbers if i not in poly_images)): c}
+        for img in [images[i] for i in numbers if i in poly_images]:
+            product = {}
+            for m1, c1 in term.items():
+                for m2, c2 in img:
+                    m = tuple(sorted(m1 + m2))
+                    product[m] = product.get(m, 0) + c1 * c2
+            term = {m: v for m, v in product.items() if v}
+        for m, v in term.items():
+            ring._add_term(out, m, ring._int_if_integral(v))
+    result = SigmaPoly._of_clean(out)
+    mdeg = ring._multidegree(p)
+    if words is not None and mdeg is not None:
+        degree = sum(k * len(words[i, False]) for i, k in mdeg) if out else 0
+        object.__setattr__(result, "_degree", degree)
+    return result
+
+
+def same_substitution(got, want):
+    """Monomial order, coefficient types and the recorded degree."""
+    return typed_items(got) == typed_items(want) and getattr(got, "_degree", None) == getattr(
+        want, "_degree", None
+    )
+
+
+@pytest.mark.parametrize(
+    "n,d,budget", [(1, 1, 3), (1, 2, 3), (2, 1, 4), (2, 2, 4), (3, 2, 4), (2, 1, 5)]
+)
+def test_substitute_matches_plan_oracle_on_relations(n, d, budget):
+    """Every relation of the four exact sweep shapes, the randomized sweep
+    shape and (2, 1, 5), whose slots are mostly proper powers."""
+    naming = Naming.generic(d)
+    powers = 0
+    for rel in o_relation_generators(n, d, budget):
+        words = [parse_word(f"[{w}]", naming) for w in rel.words]
+        assignment = {i + 1: LinComb.of(w) for i, w in enumerate(words)}
+        base = sigma_partial(rel.ts, rel.rs, rel.ss)
+        assert same_substitution(rel.poly, plan_substitute_oracle(base, assignment)), rel.describe()
+        images = {ring._word_image(g.cycle, assignment) for m in base.monomials for g in m}
+        powers += any(not is_primitive(next(iter(img.terms))) for img in images)
+    assert powers > 0  # some images are proper powers, such as [x1 x1]
+
+
+def random_lincomb(rng, unit):
+    """One word with coefficient 1 when unit, words of up to four letters
+    over two, proper powers among them; else one or two letters with
+    rational coefficients."""
+    def letter():
+        return Letter(rng.randint(1, 2), rng.random() < 0.5)
+
+    if unit:
+        return LinComb.of(Word([letter() for _ in range(rng.randint(1, 2))] * rng.choice((1, 2))))
+    return LinComb(
+        {Word([letter()]): Fraction(rng.choice((1, -1, 2)), rng.choice((1, 2, 3))) for _ in range(2)}
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_substitute_matches_plan_oracle_on_random_inputs(seed):
+    """Rational combinations of cached bases, so some coefficients are
+    Fractions whose products with power images are integral; single-word
+    assignments (proper powers included) and multi-word ones with Fraction
+    coefficients."""
+    rng = random.Random(seed)
+    for _ in range(15):
+        shapes = rng.sample(SMALL_SHAPES, 2)
+        k = max(len(ts) + len(rs) + len(ss) for ts, rs, ss in shapes)
+        p = SigmaPoly.zero()
+        for shape in shapes:
+            p = p + Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))) * sigma_partial(*shape)
+        unit = rng.random() < 0.6
+        if unit and rng.random() < 0.5:  # repeated factors
+            p = p * sigma_partial(*shapes[0])
+        assignment = {i: random_lincomb(rng, unit) for i in range(1, k + 1)}
+        for base in (p, sigma_partial(*shapes[0])):
+            got = substitute(base, assignment)
+            assert same_substitution(got, plan_substitute_oracle(base, assignment)), (seed, unit)
 
 
 sigma_polys = st.lists(
