@@ -7,7 +7,8 @@ so the same code runs over Q, over F_p and over polynomial entries (the
 generic matrices of exact verification).  sigma_t is 0 for t > n.
 
 EvalContext binds letter indices to matrices and evaluates sigma-ring
-polynomials, caching word products and their sigma_t lists per assignment.
+polynomials, caching word products and their sigma_t lists per assignment;
+each word product is its cached prefix times its last letter.
 Every matrix entry is a raw value, one representation for both fields
 (`_reduce`): over Q an `int` where a value is integral and a `Fraction` only
 where it is not, over F_p the least nonnegative `int` representative.
@@ -79,6 +80,24 @@ def _matmul(a, b):
     """Product of square list-of-rows matrices over any commutative ring."""
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _word_product(w, cache: dict, letter, mul):
+    """The matrix of the word w over any ring, each word built as the cached
+    product of its prefix w[:-1] and its last letter: one product per word
+    that is not in cache yet.  cache maps words (tuples of letters) to
+    matrices and is filled for w and every prefix of it; letter(lt) is the
+    matrix of one letter and mul(a, b) the product of two matrices."""
+    hit = cache.get(w)
+    if hit is None:
+        k = len(w) - 1
+        while k and w[:k] not in cache:
+            k -= 1
+        hit = cache[w[:k]] if k else None
+        for k in range(k, len(w)):
+            m = letter(w[k])
+            hit = cache[w[: k + 1]] = m if hit is None else mul(hit, m)
+    return hit
 
 
 def _sigmas(a, one) -> list:
@@ -251,20 +270,20 @@ class EvalContext:
         self._words: dict[Word, list] = {}
         self._sigmas: dict[Word, list] = {}
 
+    def _letter_rows(self, lt) -> list:
+        m = self._letters.get(lt.index)
+        if m is None:
+            raise ValueError(f"no matrix for letter index {lt.index}")
+        return [list(col) for col in zip(*m)] if lt.transposed else m
+
+    def _mul(self, a, b) -> list:
+        field = self.field
+        if field == "Q":
+            return [[_reduce(v, field) for v in row] for row in _matmul(a, b)]
+        return [[v % field for v in row] for row in _matmul(a, b)]
+
     def _word_rows(self, w: Word) -> list:
-        hit = self._words.get(w)
-        if hit is None:
-            for lt in w:
-                m = self._letters.get(lt.index)
-                if m is None:
-                    raise ValueError(f"no matrix for letter index {lt.index}")
-                if lt.transposed:
-                    m = [list(col) for col in zip(*m)]
-                if hit is not None:
-                    m = [[_reduce(v, self.field) for v in row] for row in _matmul(hit, m)]
-                hit = m
-            self._words[w] = hit
-        return hit
+        return _word_product(w, self._words, self._letter_rows, self._mul)
 
     def _sigma_list(self, w: Word) -> list:
         hit = self._sigmas.get(w)

@@ -25,7 +25,9 @@ Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
 bit-for-bit from its seed alone.  Since the trial matrices depend only on
 (n, d, trials, seed, field), a run shares one set of trial contexts, with
-their word-product and sigma_t caches, across all of its relations.  Exact
+their word-product and sigma_t caches, across all of its relations, and
+one table from each generator to its values at all trials; a relation is
+evaluated at every trial in one pass over its monomials.  Exact
 verification likewise computes sigma_0, ..., sigma_n of each generic word
 matrix once per (n, d), with the same division-free kernel that evaluates
 exact matrices (matrices._sigmas), and shares them across every relation of
@@ -60,8 +62,16 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .matrices import EvalContext, _matmul, _sigmas, field_of, random_matrix
-from .ring import Monomial, SigmaPoly, normalize
+from .matrices import (
+    EvalContext,
+    _matmul,
+    _reduce,
+    _sigmas,
+    _word_product,
+    field_of,
+    random_matrix,
+)
+from .ring import Monomial, SigmaGen, SigmaPoly, normalize
 from .sigmatr import _check_degree, sigma_partial_subst
 from .words import Letter, LinComb, Naming, Word, parse_word, word_text
 
@@ -244,25 +254,59 @@ def list_relations(
 # ---------------------------------------------------------------------------
 
 
+class _TrialValues(dict):
+    """The trial contexts of one (n, d, trials, seed, field), and a table
+    from SigmaGen to the tuple of its raw value at each trial, 0 where
+    t > n; each entry is filled on first lookup."""
+
+    __slots__ = ("contexts",)
+
+    def __init__(self, contexts: tuple[EvalContext, ...]):
+        self.contexts = contexts
+
+    def __missing__(self, gen: SigmaGen) -> tuple:
+        t, _, cycle = gen
+        # Every list is built, as eval_poly builds it, so that a letter with
+        # no matrix is refused even where t > n.
+        lists = [c._sigma_list(cycle) for c in self.contexts]
+        hit = self[gen] = tuple([s[t] if t < len(s) else 0 for s in lists])
+        return hit
+
+
 @functools.lru_cache(maxsize=8)
-def _trial_contexts(n: int, d: int, trials: int, seed: int, field) -> tuple[EvalContext, ...]:
-    return tuple(
-        EvalContext(
-            {k: random_matrix(n, seed + 1000 * i + k, field=field) for k in range(1, d + 1)}
+def _trial_values(n: int, d: int, trials: int, seed: int, field) -> _TrialValues:
+    return _TrialValues(
+        tuple(
+            EvalContext(
+                {k: random_matrix(n, seed + 1000 * i + k, field=field) for k in range(1, d + 1)}
+            )
+            for i in range(trials)
         )
-        for i in range(trials)
     )
 
 
 def verify_randomized(
     poly: SigmaPoly, n: int, d: int, trials: int, seed: int, field="Q"
 ) -> bool:
+    """Whether poly vanishes at every trial, evaluated in one pass over its
+    monomials: each monomial's coefficient, reduced once, times its
+    generators' values at all trials, one factor at a time.  Over F_p each
+    trial's total is reduced once, at the end."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    for ctx in _trial_contexts(n, d, trials, seed, field_of(field)):
-        if ctx.eval_poly(poly):
-            return False
-    return True
+    field = field_of(field)
+    values = _trial_values(n, d, trials, seed, field)
+    mul = operator.mul
+    columns = []
+    for mono, coeff in poly.monomials.items():
+        column = [coeff if type(coeff) is int else _reduce(coeff, field)] * trials
+        for gen in mono:
+            column = map(mul, column, values[gen])
+        columns.append(column)
+    totals = map(sum, zip(*columns))
+    if field != "Q":
+        totals = (total % field for total in totals)
+    return not any(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +391,10 @@ def _generic_matrices(n: int, d: int) -> dict[int, list[list[MultiPoly]]]:
 # of keys.
 _generic_sigma_memo: dict[tuple, list[MultiPoly]] = {}
 
+# (n, d) -> {word: generic word matrix}, from the one-letter words on,
+# filled by _word_product with each word and its prefixes.
+_generic_words_memo: dict[tuple[int, int], dict] = {}
+
 
 def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
     nv = d * n * n
@@ -357,13 +405,14 @@ def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
             raise ValueError(
                 f"exponents up to {n * len(w)} overflow a packed field of {_EXP_BITS} bits"
             )
-        gm = _generic_matrices(n, d)
-        prod = None
-        for lt in w:
-            m = gm[lt.index]
-            if lt.transposed:
-                m = [list(col) for col in zip(*m)]
-            prod = m if prod is None else _matmul(prod, m)
+        words = _generic_words_memo.get((n, d))
+        if words is None:
+            words = _generic_words_memo[n, d] = {
+                (Letter(k, tr),): [list(col) for col in zip(*m)] if tr else m
+                for k, m in _generic_matrices(n, d).items()
+                for tr in (False, True)
+            }
+        prod = _word_product(w, words, lambda lt: words[lt,], _matmul)
         hit = _generic_sigma_memo[key] = _sigmas(prod, MultiPoly.const(nv, 1))
     return hit[t] if t <= n else MultiPoly.const(nv, 0)
 

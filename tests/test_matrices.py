@@ -413,6 +413,27 @@ def test_int_layer_matches_object_oracle(field, fractional, n):
             assert_same_value(ctx.eval_poly(p), oracle.eval_poly(p), field)
 
 
+@pytest.mark.parametrize("field", ["Q", 7, 10007])
+@pytest.mark.parametrize("fractional", [False, True])
+def test_prefix_word_products_match_letter_by_letter(field, fractional):
+    """Each word matrix is its cached prefix times its last letter; on
+    transposed words of length 3 to 8, met shortest first and longest
+    first, it equals the product of ExactMatrix letters."""
+    make = fractional_matrix if fractional else (lambda n, s, f: random_matrix(n, s, field=f))
+    a, b = make(3, 61, field), make(3, 62, field)
+    letters = {Letter(1): a, Letter(1, True): a.T, Letter(2): b, Letter(2, True): b.T}
+    words = [Word(w) for k in (3, 4) for w in itertools.product(letters, repeat=k)]
+    rng = random.Random(str(field))
+    words += [Word(rng.choices(list(letters), k=rng.randint(5, 8))) for _ in range(40)]
+    for order in (words, words[::-1]):
+        ctx = EvalContext({1: a, 2: b})
+        for w in order:
+            want = letters[w[0]]
+            for lt in w[1:]:
+                want = want * letters[lt]
+            assert ctx.word_matrix(w) == want, w
+
+
 @pytest.mark.parametrize("p", [5, 7, 10007])
 def test_int_layer_stays_reduced_mod_p(p):
     """Cached word products and sigma_t lists hold least nonnegative

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,8 +24,9 @@ from sigmaring.relations import (
     verify_randomized,
     write_certificates,
 )
+from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
 from sigmaring.sigmatr import sigma_tr
-from sigmaring.words import Naming, word_text
+from sigmaring.words import Letter, Naming, Word, word_text
 
 
 def test_gl_relations_share_the_degree_guard():
@@ -306,6 +308,69 @@ def test_shared_contexts_match_fresh_contexts(field):
         assert got == fresh_contexts_oracle(rel.poly, 3, 2, 3, 11, field), rel.describe()
         verdicts.add(got)
     assert verdicts == {True, False}
+    # every relation of the largest randomized shape, at the CLI's 5 trials
+    rels = take_o(3, 2, 4)
+    assert len(rels) == 525
+    for rel in rels:
+        got = verify_randomized(rel.poly, 3, 2, trials=5, seed=11, field=field)
+        assert got is fresh_contexts_oracle(rel.poly, 3, 2, 5, 11, field) is True, rel.describe()
+
+
+@pytest.mark.parametrize("field", ["Q", 10007])
+def test_every_trial_counts(field):
+    """With v_i the trace of x1 at trial i, the product of tr[x1] - v_i over
+    all trials but trial k vanishes at every trial but k, so a check that
+    skipped trial k would pass it."""
+    trials, seed = 5, 2
+    x1 = Word([Letter(1)])
+    tr = sigma_of_word(1, x1)
+    vs = [random_matrix(2, seed + 1000 * i + 1, field=field).sigma(1) for i in range(trials)]
+    assert len(set(vs)) == trials
+
+    def product(skip):
+        out = SigmaPoly.one()
+        for i, v in enumerate(vs):
+            if i != skip:
+                out = out * (tr - SigmaPoly.scalar(v))
+        return out
+
+    for k in range(trials):
+        assert not verify_randomized(product(k), 2, 1, trials, seed, field), k
+    assert verify_randomized(product(None), 2, 1, trials, seed, field)
+
+
+def test_verify_randomized_edge_cases():
+    x1, x2 = Word([Letter(1)]), Word([Letter(2)])
+    x1x2 = Word([Letter(1), Letter(2)])
+    for field in ("Q", 7):
+        assert verify_randomized(SigmaPoly.zero(), 2, 2, 3, 5, field)
+        assert not verify_randomized(SigmaPoly.scalar(3), 2, 2, 3, 5, field)
+        # s_t vanishes for t > n, alone and in a product
+        beyond = SigmaPoly.from_gen(SigmaGen(3, x1x2))
+        assert verify_randomized(beyond, 2, 2, 3, 5, field)
+        assert verify_randomized(beyond * sigma_of_word(1, x1), 2, 2, 3, 5, field)
+        assert not verify_randomized(beyond + SigmaPoly.one(), 2, 2, 3, 5, field)
+    # tr(x1 x2) = tr(x1) tr(x2) holds for 1 x 1 matrices only, here with a
+    # non-integral coefficient
+    p = Fraction(1, 2) * (sigma_of_word(1, x1x2) - sigma_of_word(1, x1) * sigma_of_word(1, x2))
+    assert any(type(c) is Fraction for c in p.monomials.values())
+    for n in (1, 2):
+        want = fresh_contexts_oracle(p, n, 2, 3, 5)
+        assert want is (n == 1)
+        assert verify_randomized(p, n, 2, 3, 5) is want
+        assert verify_randomized(p, n, 2, 3, 5, 10007) is want
+    # a letter with no trial matrix is refused, as by eval_poly, even in a
+    # generator with t > n
+    with pytest.raises(ValueError, match="no matrix for letter index 2"):
+        verify_randomized(SigmaPoly.from_gen(SigmaGen(3, x1x2)), 2, 1, 3, 5)
+    # so is a coefficient whose denominator vanishes mod p
+    for p in (5, 7):
+        poly = Fraction(1, p) * sigma_of_word(1, x1)
+        message = f"^denominator of 1/{p} vanishes mod {p}$"
+        with pytest.raises(ZeroDivisionError, match=message):
+            verify_randomized(poly, 2, 1, 3, 5, p)
+        with pytest.raises(ZeroDivisionError, match=message):
+            fresh_contexts_oracle(poly, 2, 1, 3, 5, p)
 
 
 def test_shared_contexts_do_not_cross_configurations():
@@ -401,13 +466,18 @@ def fresh_exact_oracle(poly, n, d):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_generic_sigma_matches_leibniz(n):
+def test_generic_sigma_matches_leibniz(monkeypatch, n):
     """The division-free kernel on generic word matrices, every t in
-    0..n+1, against the Leibniz principal-minor expansion."""
+    0..n+1, against the Leibniz principal-minor expansion of the
+    letter-by-letter product.  Words of up to 4 letters (2 at n = 3) come
+    longest first, so each word matrix is built from prefixes not cached
+    yet."""
+    monkeypatch.setattr(relations, "_generic_sigma_memo", {})
+    monkeypatch.setattr(relations, "_generic_words_memo", {})
     d = 2
     nv = d * n * n
     gm = relations._generic_matrices(n, d)
-    for w in enumerate_words(d, 2):
+    for w in enumerate_words(d, 4 if n < 3 else 2)[::-1]:
         prod = None
         for lt in w:
             m = gm[lt.index]
