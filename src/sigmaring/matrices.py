@@ -278,8 +278,10 @@ class EvalContext:
 
     def _mul(self, a, b) -> list:
         field = self.field
-        if field == "Q":
-            return [[_reduce(v, field) for v in row] for row in _matmul(a, b)]
+        if field == "Q":  # only a Fraction can need reducing
+            return [
+                [v if type(v) is int else _reduce(v, field) for v in row] for row in _matmul(a, b)
+            ]
         return [[v % field for v in row] for row in _matmul(a, b)]
 
     def _word_rows(self, w: Word) -> list:

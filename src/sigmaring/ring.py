@@ -25,10 +25,13 @@ certificate replay, the image of s_t(cycle) is s_t of the word that the
 assigned words of its letters spell: those words are numbered once per
 process, the cycle image is keyed by their numbers, and s_t of each word
 is memoized as one generator when the word is primitive and as the
-monomial items of its power_reduce polynomial otherwise.  Only polynomial
-images are multiplied out.  Any other assignment normalizes the LinComb
-image of each generator.  Generators, monomials and words are tuples (see
-SigmaGen and words.Word), so images multiply out, sort and hash in C.
+monomial items of its power_reduce polynomial otherwise.  A one-factor
+monomial adds its image, scaled item by item when it is a polynomial; a
+monomial of generator images is sorted, two of them by one comparison;
+only a monomial that meets a polynomial image among other factors is
+multiplied out.  Any other assignment normalizes the LinComb image of
+each generator.  Generators, monomials and words are tuples (see SigmaGen
+and words.Word), so images multiply out, sort and hash in C.
 
 The plan also holds the multidegree of the base when all of its monomials
 share one, as every sigma_partial base does.  A single-word substitution
@@ -405,18 +408,17 @@ def _assigned_words(assignment: dict[int, LinComb]) -> dict[int, int] | None:
 
 
 class _Plan(NamedTuple):
-    """A polynomial compiled for substitution: its letter indices, its
-    distinct generators, its monomials in monomial order, and its
-    multidegree (see _multidegree).  A generator is (t, cycle, key): key
-    takes the word numbers of a single-word substitution (see
-    _assigned_words) to the key of the image of its cycle in
-    _word_sigma_memo, in C.  A monomial is (coefficient, pick, mask): pick
-    takes the list of generator images to the images of its factors, in C,
-    and mask has bit i set when generator i is one of them."""
+    """A polynomial compiled for substitution: its distinct generators, its
+    monomials in monomial order, and its multidegree (see _multidegree).  A
+    generator is (t, cycle, key): key takes the word numbers of a
+    single-word substitution (see _assigned_words) to the key of the image
+    of its cycle in _word_sigma_memo, in C.  A monomial is (coefficient,
+    pick): pick is the number of the generator of a one-factor monomial,
+    and otherwise takes the list of generator images to the images of its
+    factors, in C."""
 
-    indices: frozenset[int]
     gens: tuple[tuple[int, Word, operator.itemgetter], ...]
-    monos: tuple[tuple[Coeff, operator.itemgetter, int], ...]
+    monos: tuple[tuple[Coeff, int | operator.itemgetter], ...]
     mdeg: tuple[tuple[int, int], ...] | None
 
 
@@ -430,14 +432,6 @@ def _multidegree(p: SigmaPoly) -> tuple[tuple[int, int], ...] | None:
     return degs.pop() if degs else ()
 
 
-def _picker(numbers: list[int]) -> operator.itemgetter:
-    """An itemgetter taking a sequence to its items at numbers, as a
-    sequence; itemgetter(i) alone would return the item itself."""
-    if len(numbers) == 1:
-        return operator.itemgetter(slice(numbers[0], numbers[0] + 1))
-    return operator.itemgetter(*numbers) if numbers else operator.itemgetter(slice(0))
-
-
 def _compile(p: SigmaPoly, mdeg: tuple[tuple[int, int], ...] | None) -> _Plan:
     gens: dict[SigmaGen, int] = {}
     monos = []
@@ -445,9 +439,12 @@ def _compile(p: SigmaPoly, mdeg: tuple[tuple[int, int], ...] | None) -> _Plan:
         for g in m:
             gens.setdefault(g, len(gens))
         numbers = [gens[g] for g in m]
-        monos.append((c, _picker(numbers), sum(1 << i for i in set(numbers))))
+        if len(numbers) == 1:
+            pick = numbers[0]
+        else:  # the images of the factors, as a sequence; () takes an empty slice
+            pick = operator.itemgetter(*numbers) if numbers else operator.itemgetter(slice(0))
+        monos.append((c, pick))
     return _Plan(
-        frozenset(lt.index for g in gens for lt in g.cycle),
         tuple((t, w, operator.itemgetter(*[2 * i + tr for i, tr in w])) for t, _, w in gens),
         tuple(monos),
         mdeg,
@@ -529,6 +526,7 @@ class _WordSigmaMemo(dict):
 
 
 _word_sigma_memo = _WordSigmaMemo()
+_GENS = {SigmaGen}  # the type set of a monomial whose images are all generators
 
 
 def _multiply_out(c: Coeff, factors) -> Iterable[tuple[Monomial, Coeff]]:
@@ -556,29 +554,53 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
     """Replace every letter by a linear combination of words; transposed
     letters receive the involuted image.  Fully renormalized."""
     plan = _plan_of(p)
-    missing = plan.indices.difference(assignment)
-    if missing:
-        raise ValueError(f"no assignment for letter indices {sorted(missing)}")
     words = _assigned_words(assignment)
-    if words is None:
-        cycles = dict.fromkeys(w for _, w, _ in plan.gens)
-        cycle_images = {w: _word_image(w, assignment) for w in cycles}
-        images = [normalize(t, cycle_images[w]).monomials.items() for t, w, _ in plan.gens]
-        polys = -1  # a mask with the bit of every generator
-    else:
-        memo = _word_sigma_memo
-        images = [memo[key(words)][t] for t, _, key in plan.gens]
-        polys = 0
-        for i, img in enumerate(images):
-            if type(img) is not SigmaGen:
-                polys |= 1 << i
+    try:
+        if words is None:
+            cycles = dict.fromkeys(w for _, w, _ in plan.gens)
+            cycle_images = {w: _word_image(w, assignment) for w in cycles}
+            images = [normalize(t, cycle_images[w]).monomials.items() for t, w, _ in plan.gens]
+        else:
+            memo = _word_sigma_memo
+            images = [memo[key(words)][t] for t, _, key in plan.gens]
+    except KeyError:
+        missing = {lt.index for _, w, _ in plan.gens for lt in w}.difference(assignment)
+        if missing:
+            raise ValueError(f"no assignment for letter indices {sorted(missing)}") from None
+        raise
     out: dict[Monomial, Coeff] = {}
     get = out.get
-    for c, pick, mask in plan.monos:
-        if mask & polys:
-            terms = _multiply_out(c, pick(images))
+    for c, pick in plan.monos:
+        # A monomial of generator images is added as it is; one that meets
+        # a polynomial image is multiplied out into terms.
+        if type(pick) is int:
+            img = images[pick]
+            if type(img) is SigmaGen:
+                m = (img,)
+            else:  # distinct monomials stay distinct: only the scale changes
+                m = None
+                terms = [(mi, c * v) for mi, v in img]
         else:
-            terms = ((tuple(sorted(pick(images))), c),)
+            m = pick(images)
+            if len(m) == 2 and type(m[0]) is SigmaGen is type(m[1]):
+                if m[1] < m[0]:
+                    m = (m[1], m[0])
+            elif _GENS.issuperset(map(type, m)):
+                m = tuple(sorted(m))
+            else:
+                terms = _multiply_out(c, m)
+                m = None
+        if m is not None:  # c is clean already; only a merged sum may not be
+            old = get(m)
+            if old is None:
+                out[m] = c
+            else:
+                v = old + c
+                if v:
+                    out[m] = v if type(v) is int else _int_if_integral(v)
+                else:
+                    del out[m]
+            continue
         for m, v in terms:
             old = get(m)
             if old is not None:
@@ -589,7 +611,7 @@ def substitute(p: SigmaPoly, assignment: dict[int, LinComb]) -> SigmaPoly:
             out[m] = v if type(v) is int else _int_if_integral(v)
     result = SigmaPoly._of_clean(out)
     if words is not None and plan.mdeg is not None:
-        degree = sum(k * len(assignment[i].word) for i, k in plan.mdeg) if out else 0
+        degree = sum([k * len(assignment[i].word) for i, k in plan.mdeg]) if out else 0
         object.__setattr__(result, "_degree", degree)
     return result
 

@@ -70,9 +70,20 @@ def is_primitive(w: Word) -> bool:
     return _period(w) == len(w)
 
 
+class _Flips(dict):
+    """Letter -> the same letter with its flag toggled, made on first use."""
+
+    def __missing__(self, lt: Letter) -> Letter:
+        flipped = self[lt] = Letter(lt.index, not lt.transposed)
+        return flipped
+
+
+_flip = _Flips().__getitem__
+
+
 def transpose_letters(seq: tuple[Letter, ...]) -> tuple[Letter, ...]:
     """The letters of the transpose: reversed, each flag toggled."""
-    return tuple(Letter(lt.index, not lt.transposed) for lt in reversed(seq))
+    return tuple(map(_flip, reversed(seq)))
 
 
 def least_rotation(seq: tuple) -> tuple:
@@ -89,7 +100,8 @@ def canonicalize(w: Word) -> tuple[Word, int]:
     period = _period(w)
     root = w[:period]
     best = min(least_rotation(root), least_rotation(transpose_letters(root)))
-    return Word(best), len(w) // period
+    # the letters of w, rotated and possibly transposed: no check needed
+    return tuple.__new__(Word, best), len(w) // period
 
 
 def mdeg(w: Word, d: int) -> tuple[int, ...]:
