@@ -216,7 +216,8 @@ def cmd_relations(args) -> int:
                 skipped += 1
                 continue
             extra = {}
-        certs.append(certificate(rel, args.verify, ok, **extra))
+        if args.out:  # only a certificate file reads them
+            certs.append(certificate(rel, args.verify, ok, **extra))
         status = "VERIFIED " if ok else "FALSIFIED"
         print(f"{status} {rel.describe()}  degree={poly_degree(rel.poly)}")
         if not ok:

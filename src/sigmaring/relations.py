@@ -14,12 +14,16 @@ text once, enumerates the multisets once, within the whole budget, and
 serves every block from that list: a smaller budget takes the multisets
 whose weight fits, in the same order, and the z block takes only those
 whose degree sum is r.  The enumeration visits only slots that fit the
-remaining budget.  The polynomial of each generator substitutes its
+remaining budget.  The polynomial of a generator substitutes its
 single-word arguments into the cached sigma_{tbar,rbar,sbar} at word level
 (ring.substitute), which records its degree, the weight of its slots, so
 generation costs about what it emits and poly_degree reads the degree
-without walking the monomials.  list_relations enumerates the same
-generators, with the same degree guard, and builds no polynomial.
+without walking the monomials.  Transposing a y or z word changes
+sigma_{tbar,rbar,sbar} by a known sign, so each block carries its
+transpose orbit and a parity, and within one x block only the first
+generator of each orbit is substituted (see o_relation_generators).
+list_relations enumerates the same generators, with the same degree
+guard, and builds no polynomial.
 
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
@@ -143,43 +147,61 @@ def _slot_multisets(slots, budget: int):
 
 
 def _o_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
-    """(tbar, rbar, sbar, arguments, word texts) of each generator that
-    o_relation_generators yields, in its order.  The degree guard of
-    sigma_partial is checked here, so a listing that builds no polynomial
-    is refused at the same generator."""
+    """(tbar, rbar, sbar, arguments, word texts, x block number, orbit,
+    parity) of each generator that o_relation_generators yields, in its
+    order.  The degree guard of sigma_partial is checked here, so a listing
+    that builds no polynomial is refused at the same generator."""
     if max_total_degree is None:
         max_total_degree = n + 4
     naming = Naming.generic(d)
-    # A slot is (degree, word, argument, text); each word's argument and
-    # text are built once per call.
-    words = [
-        (w, LinComb.of(w), word_text(w, naming)[1:-1]) for w in enumerate_words(d, max_word_len)
+    # A slot is (degree, word, argument, text, orbit entry, parity term),
+    # built once per call: the orbit entry is (degree, length, the lesser
+    # of the word and its transpose), the parity term the degree where the
+    # transpose is the lesser, else 0.
+    words = []
+    for w in enumerate_words(d, max_word_len):
+        wt = w.T
+        words.append((w, LinComb.of(w), word_text(w, naming)[1:-1], min(w, wt), wt < w))
+    slots = [
+        (deg, w, arg, text, (deg, len(w), least), deg if flip else 0)
+        for deg in range(1, max_total_degree + 1)
+        for w, arg, text, least, flip in words
     ]
-    slots = [(deg, *word) for deg in range(1, max_total_degree + 1) for word in words]
     slots.sort(key=lambda s: (s[0], len(s[1]), s[1]))
 
     # One enumeration serves all three blocks.  Weight only grows along the
     # DFS, so the multisets within a smaller budget are, in the same order,
     # those of the full enumeration whose weight fits; the z block is further
     # split by degree sum, since its sum must equal r.
+    # Blocks of one orbit share the number of their sorted orbit entries.
     within: list[list[tuple]] = [[] for _ in range(max_total_degree + 1)]
     z_within: dict[tuple[int, int], list[tuple]] = {}
+    orbits: dict[tuple, int] = {}
     for ms in _slot_multisets(slots, max_total_degree):
         degs = tuple([s[0] for s in ms])
         weight = sum([s[0] * len(s[1]) for s in ms])
-        block = (degs, sum(degs), weight, [s[2] for s in ms], tuple([s[3] for s in ms]))
+        orbit = orbits.setdefault(tuple(sorted([s[4] for s in ms])), len(orbits))
+        parity = sum([s[5] for s in ms]) & 1
+        args, texts = tuple([s[2] for s in ms]), tuple([s[3] for s in ms])
+        block = (degs, sum(degs), weight, args, texts, orbit, parity)
         for b in range(weight, max_total_degree + 1):
             within[b].append(block)
             z_within.setdefault((sum(degs), b), []).append(block)
+    del orbits  # the numbers suffice from here on
 
-    for ts, t, x_weight, x_args, x_texts in within[max_total_degree]:
-        for rs, r, y_weight, y_args, y_texts in within[max_total_degree - x_weight]:
+    for x, (ts, t, x_weight, x_args, x_texts, _, _) in enumerate(within[max_total_degree]):
+        for rs, r, y_weight, y_args, y_texts, y_orbit, y_parity in within[
+            max_total_degree - x_weight
+        ]:
             if t + 2 * r <= n:
                 continue  # only the overflow shapes vanish
             budget = max_total_degree - x_weight - y_weight
-            for ss, _, _, z_args, z_texts in z_within.get((r, budget), ()):
+            for ss, _, _, z_args, z_texts, z_orbit, z_parity in z_within.get((r, budget), ()):
                 _check_degree(t + 2 * r)
-                yield ts, rs, ss, x_args + y_args + z_args, x_texts + y_texts + z_texts
+                yield (
+                    ts, rs, ss, x_args + y_args + z_args, x_texts + y_texts + z_texts,
+                    x, (y_orbit, z_orbit), y_parity ^ z_parity,
+                )
 
 
 def o_relation_generators(
@@ -192,9 +214,32 @@ def o_relation_generators(
     sum(tbar) + 2 sum(rbar) > n, word arguments of length <= max_word_len,
     and total degree within budget; slot order inside each block is
     canonical, so no instance repeats.  The count grows steeply with the
-    budget, hence the laziness."""
-    for ts, rs, ss, args, texts in _o_shapes(n, d, max_total_degree, max_word_len):
-        yield Relation("o", n, d, ts, rs, ss, texts, sigma_partial_subst(ts, rs, ss, args))
+    budget, hence the laziness.
+
+    sigma_{tbar,rbar,sbar} signs each index set by its untransposed y and
+    z letters, so transposing the word of y slot j multiplies it by
+    (-1)^(r_j), z alike, and slots of one degree in one block commute.  So
+    within an x block, a generator whose y and z words are an earlier
+    one's up to transposes and order (its orbit) yields that polynomial
+    object, or one shared negation where the parities (the degrees of the
+    transposed slots, mod 2) differ."""
+    # orbit -> [polynomial at parity 0, at parity 1], within one x block
+    memo: dict[tuple[int, int], list] = {}
+    block = None
+    for ts, rs, ss, args, texts, x, orbit, parity in _o_shapes(
+        n, d, max_total_degree, max_word_len
+    ):
+        if x != block:
+            memo.clear()
+            block = x
+        pair = memo.get(orbit)
+        if pair is None:
+            pair = memo[orbit] = [None, None]
+            pair[parity] = sigma_partial_subst(ts, rs, ss, args)
+        poly = pair[parity]
+        if poly is None:
+            poly = pair[parity] = -pair[parity ^ 1]
+        yield Relation("o", n, d, ts, rs, ss, texts, poly)
 
 
 def _check_gl_degree(t: int, words: tuple[Word, ...] | list[Word]) -> None:
@@ -245,7 +290,7 @@ def list_relations(
     refused at the same one, with poly None: a listing prints no
     polynomial, so it builds none."""
     shapes = _o_shapes if kind == "o" else _gl_shapes
-    for ts, rs, ss, _, texts in shapes(n, d, max_total_degree, max_word_len):
+    for ts, rs, ss, _, texts, *_ in shapes(n, d, max_total_degree, max_word_len):
         yield Relation(kind, n, d, ts, rs, ss, texts, None)
 
 

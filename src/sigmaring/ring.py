@@ -133,7 +133,8 @@ class SigmaPoly:
     two forms compare and hash alike, so only the type tells them apart.
     A cached sigma_partial base, which is substituted into many times,
     keeps its compiled substitution plan in _plan (see _keep_plan); a
-    result of substitute that knows its degree keeps it in _degree."""
+    result of substitute that knows its degree keeps it in _degree, and so
+    does its negation."""
 
     __slots__ = ("monomials", "_plan", "_degree")
 
@@ -196,7 +197,12 @@ class SigmaPoly:
         return self + (-1) * other
 
     def __neg__(self) -> "SigmaPoly":
-        return (-1) * self
+        # -c keeps the form of a clean coefficient, and the recorded degree
+        out = SigmaPoly._of_clean({m: -c for m, c in self.monomials.items()})
+        degree = getattr(self, "_degree", None)
+        if degree is not None:
+            object.__setattr__(out, "_degree", degree)
+        return out
 
     def __rmul__(self, scalar) -> "SigmaPoly":
         s = _int_if_integral(scalar if type(scalar) is int else Fraction(scalar))

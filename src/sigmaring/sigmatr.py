@@ -21,6 +21,7 @@ three-letter case x, y, z are letters 1, 2, 3.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import itemgetter
 
 from .quiver import Quiver, QuiverCycle, index_sets
@@ -103,7 +104,7 @@ def sigma_partial_subst(
     ts: tuple[int, ...],
     rs: tuple[int, ...],
     ss: tuple[int, ...],
-    args: list[LinComb],
+    args: Sequence[LinComb],
 ) -> SigmaPoly:
     """sigma_{tbar, rbar, sbar} applied to u + v + w word combinations."""
     if len(args) != len(ts) + len(rs) + len(ss):

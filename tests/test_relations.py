@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigmaring import relations
+from sigmaring import relations, sigmatr
 from sigmaring.matrices import EvalContext, random_matrix
 from sigmaring.relations import (
     EXACT_MAX_DEGREE,
@@ -26,7 +26,7 @@ from sigmaring.relations import (
 )
 from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
 from sigmaring.sigmatr import sigma_tr
-from sigmaring.words import Letter, Naming, Word, word_text
+from sigmaring.words import Letter, LinComb, Naming, Word, parse_word, word_text
 
 
 def test_gl_relations_share_the_degree_guard():
@@ -111,6 +111,50 @@ def test_o_generators_no_duplicates():
     assert len(seen) == len(rels)
 
 
+def typed_terms(p):
+    """The monomials of p with each coefficient and its type, in no order."""
+    return {m: (c, type(c)) for m, c in p.monomials.items()}
+
+
+@pytest.mark.parametrize(
+    "n, d, budget", [(1, 1, 3), (1, 2, 3), (2, 1, 4), (2, 2, 4), (3, 2, 4), (2, 2, 5)]
+)
+def test_orbit_polynomials_match_fresh_substitution(n, d, budget):
+    """A relation may carry the polynomial object of an earlier relation of
+    its transpose orbit, or its negation; it equals a substitution of its
+    own words, coefficient types and recorded degree included."""
+    naming = Naming.generic(d)
+    for rel in o_relation_generators(n, d, budget):
+        args = [LinComb.of(parse_word(f"[{w}]", naming)) for w in rel.words]
+        fresh = sigmatr.sigma_partial_subst(rel.ts, rel.rs, rel.ss, args)
+        assert typed_terms(rel.poly) == typed_terms(fresh), rel.describe()
+        assert rel.poly._degree == fresh._degree, rel.describe()
+
+
+@pytest.mark.parametrize(
+    "n, d, budget, relations_, orbits",
+    [(1, 1, 3, 51, 32), (1, 2, 3, 326, 178), (2, 1, 4, 151, 77), (2, 2, 4, 1621, 690),
+     (3, 2, 4, 525, 186)],
+)
+def test_one_substitution_per_orbit(monkeypatch, n, d, budget, relations_, orbits):
+    """Within an x block, relations whose y and z words agree up to
+    transposes and the order of equal-degree slots are substituted once."""
+    made = []
+
+    def counting(*args):
+        made.append(sigmatr.sigma_partial_subst(*args))
+        return made[-1]
+
+    monkeypatch.setattr(relations, "sigma_partial_subst", counting)
+    rels = take_o(n, d, budget)
+    assert (len(rels), len(made)) == (relations_, orbits)
+    # every other relation carries a substituted object or its one negation
+    made_ids, made_set = {id(p) for p in made}, set(made)
+    assert len({id(rel.poly) for rel in rels}) <= 2 * orbits
+    assert sum(id(rel.poly) in made_ids for rel in rels) > orbits
+    assert all(id(rel.poly) in made_ids or -rel.poly in made_set for rel in rels)
+
+
 def slot_multisets_oracle(slots, budget):
     """Multisets of (degree, word) slots with total degree * len(word)
     weight <= budget, by a search that tries every remaining slot at every
@@ -175,7 +219,7 @@ ENUMERATION_GRID = [
 
 @pytest.mark.parametrize("n,d,budget,max_word_len", ENUMERATION_GRID)
 def test_o_generators_enumerate_like_triple_dfs(monkeypatch, n, d, budget, max_word_len):
-    monkeypatch.setattr(relations, "sigma_partial_subst", lambda *args: None)
+    monkeypatch.setattr(relations, "sigma_partial_subst", lambda *args: SigmaPoly.zero())
     got = [
         (rel.ts, rel.rs, rel.ss, rel.words)
         for rel in o_relation_generators(n, d, budget, max_word_len)

@@ -421,18 +421,35 @@ def typed_items(p):
     return [(m, c, type(c)) for m, c in p.monomials.items()]
 
 
+def same_as_fresh(shared, fresh):
+    """A relation's polynomial, which o_relation_generators may share with
+    other relations of its transpose orbit in another monomial order,
+    against a fresh substitution: the typed items as a dict, and the
+    recorded degree."""
+
+    def terms(p):
+        return {m: (c, type(c)) for m, c in p.monomials.items()}
+
+    degrees = [getattr(p, "_degree", None) for p in (shared, fresh)]
+    return terms(shared) == terms(fresh) and degrees[0] == degrees[1]
+
+
 @pytest.mark.parametrize(
     "n,d,budget,max_word_len", [(1, 1, 5, 2), (2, 1, 4, 3), (2, 2, 4, 2), (3, 2, 4, 2)]
 )
 def test_substitute_matches_word_oracle_on_relations(n, d, budget, max_word_len):
-    """Monomial order and coefficient types included; the (1,1,5) images
-    are mostly proper powers, several to a monomial."""
+    """Monomial order and coefficient types included, on a fresh
+    substitution; the (1,1,5) images are mostly proper powers, several to a
+    monomial."""
     naming = Naming.generic(d)
     for rel in o_relation_generators(n, d, budget, max_word_len):
         words = [parse_word(f"[{w}]", naming) for w in rel.words]
         assignment = {i + 1: LinComb.of(w) for i, w in enumerate(words)}
-        want = word_substitute_oracle(sigma_partial(rel.ts, rel.rs, rel.ss), assignment)
-        assert typed_items(rel.poly) == typed_items(want), rel.describe()
+        base = sigma_partial(rel.ts, rel.rs, rel.ss)
+        got = substitute(base, assignment)
+        want = word_substitute_oracle(base, assignment)
+        assert typed_items(got) == typed_items(want), rel.describe()
+        assert same_as_fresh(rel.poly, got), rel.describe()
 
 
 @pytest.mark.parametrize(
@@ -445,8 +462,10 @@ def test_substitute_matches_general_oracle_on_relations(n, d, budget, max_word_l
         words = [parse_word(f"[{w}]", naming) for w in rel.words]
         assignment = {i + 1: LinComb.of(w) for i, w in enumerate(words)}
         base = sigma_partial(rel.ts, rel.rs, rel.ss)
+        got = substitute(base, assignment)
         want = general_substitute_oracle(base, assignment)
-        assert list(rel.poly.monomials.items()) == list(want.monomials.items()), rel.describe()
+        assert list(got.monomials.items()) == list(want.monomials.items()), rel.describe()
+        assert same_as_fresh(rel.poly, got), rel.describe()
         images = {ring._word_image(g.cycle, assignment) for m in base.monomials for g in m}
         powers += sum(not is_primitive(next(iter(img.terms))) for img in images)
     assert powers > 0  # images such as [x1 x1] take the power_reduce branch
@@ -557,14 +576,17 @@ def same_substitution(got, want):
 )
 def test_substitute_matches_plan_oracle_on_relations(n, d, budget):
     """Every relation of the four exact sweep shapes, the randomized sweep
-    shape and (2, 1, 5), whose slots are mostly proper powers."""
+    shape and (2, 1, 5), whose slots are mostly proper powers; the strict
+    check runs on a fresh substitution."""
     naming = Naming.generic(d)
     powers = 0
     for rel in o_relation_generators(n, d, budget):
         words = [parse_word(f"[{w}]", naming) for w in rel.words]
         assignment = {i + 1: LinComb.of(w) for i, w in enumerate(words)}
         base = sigma_partial(rel.ts, rel.rs, rel.ss)
-        assert same_substitution(rel.poly, plan_substitute_oracle(base, assignment)), rel.describe()
+        got = substitute(base, assignment)
+        assert same_substitution(got, plan_substitute_oracle(base, assignment)), rel.describe()
+        assert same_as_fresh(rel.poly, got), rel.describe()
         images = {ring._word_image(g.cycle, assignment) for m in base.monomials for g in m}
         powers += any(not is_primitive(next(iter(img.terms))) for img in images)
     assert powers > 0  # some images are proper powers, such as [x1 x1]
@@ -779,6 +801,27 @@ def test_poly_json_roundtrip():
     p = Fraction(5, 3) * sigma_of_word(2, W((1, False))) - SigmaPoly.one()
     obj = poly_json_obj(p, XYZ)
     assert poly_from_json_obj(obj, XYZ) == p
+
+
+def test_negation_keeps_the_recorded_degree():
+    """-p records the degree of p, so poly_degree stays O(1) on a negated
+    substitution; coefficient forms are kept."""
+    from sigmaring.relations import poly_degree
+
+    x1 = LinComb.of(W((1, False)))
+    x2 = LinComb.of(W((2, True), (1, False)))
+    p = substitute(sigma_partial((1,), (1,), (1,)), {1: x1, 2: x2, 3: x1})
+    assert p._degree == 4 and p
+    q = -p
+    assert q._degree == 4 == poly_degree(q)
+    assert typed_items(q) == [(m, -c, type(c)) for m, c, _ in typed_items(p)]
+    # y -> y^T negates sigma_{(),(1),(1)}, so a word equal to its transpose empties it
+    sym = LinComb.of(W((1, False), (1, True)))
+    zero = substitute(sigma_partial((), (1,), (1,)), {1: sym, 2: x1})
+    assert not zero and zero._degree == 0 and (-zero)._degree == 0
+    half = Fraction(1, 2) * p  # no recorded degree, none invented
+    assert not hasattr(-half, "_degree")
+    assert typed_items(-half) == [(m, -c, Fraction) for m, c, _ in typed_items(half)]
 
 
 def test_coefficients_are_int_where_integral():

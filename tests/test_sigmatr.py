@@ -193,3 +193,46 @@ PINNED = [
 def test_poly_text_digest_pinned(make, naming, digest):
     text = poly_text(make(), naming)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def compositions(total):
+    """Every tuple of positive parts with sum total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def yz_shapes(max_degree):
+    """Every balanced (ts, rs, ss) with positive parts, a y or z part, and
+    total degree at most max_degree."""
+    for r in range(1, max_degree // 2 + 1):
+        for t in range(max_degree - 2 * r + 1):
+            for ts in compositions(t):
+                for rs in compositions(r):
+                    for ss in compositions(r):
+                        yield ts, rs, ss
+
+
+@pytest.mark.parametrize("ts, rs, ss", list(yz_shapes(6)))
+def test_transpose_and_swap_symmetries(ts, rs, ss):
+    """sigma_{tbar,rbar,sbar} signs an index set by its untransposed y and z
+    letters, so y_j -> y_j^T multiplies it by (-1)^(r_j), and z_k -> z_k^T
+    by (-1)^(s_k); letters of equal degree in one block commute.  These are
+    the symmetries by which o_relation_generators shares one polynomial
+    across a transpose orbit."""
+    base = sigma_partial(ts, rs, ss)
+    degrees = ts + rs + ss
+    ident = {i: LinComb.of(Word([Letter(i)])) for i in range(1, len(degrees) + 1)}
+    for i in range(len(ts) + 1, len(degrees) + 1):
+        flipped = substitute(base, {**ident, i: LinComb.of(Word([Letter(i, True)]))})
+        assert flipped == (-1) ** degrees[i - 1] * base, (ts, rs, ss, i)
+    start = 1
+    for block in (ts, rs, ss):
+        for a in range(start, start + len(block)):
+            for b in range(a + 1, start + len(block)):
+                if degrees[a - 1] == degrees[b - 1]:
+                    swapped = substitute(base, {**ident, a: ident[b], b: ident[a]})
+                    assert swapped == base, (ts, rs, ss, a, b)
+        start += len(block)
