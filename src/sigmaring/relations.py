@@ -20,14 +20,19 @@ single-word arguments into the cached sigma_{tbar,rbar,sbar} at word level
 generation costs about what it emits and poly_degree reads the degree
 without walking the monomials.  Transposing a y or z word changes
 sigma_{tbar,rbar,sbar} by a known sign, so each block carries its
-transpose orbit and a parity, and within one x block only the first
-generator of each orbit is substituted (see o_relation_generators).
-list_relations enumerates the same generators, with the same degree
-guard, and builds no polynomial.
+transpose orbit and a parity, and only the first generator of each orbit
+is substituted; transposing the x words and swapping the y and z blocks
+keeps the polynomial, so an orbit spans the x blocks X and X^T (see
+o_relation_generators): 100 substitutions for the 525 generators at
+n = 3, d = 2, degree 4.  list_relations enumerates the same generators,
+with the same degree guard, and builds no polynomial.
 
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
-bit-for-bit from its seed alone.  Since the trial matrices depend only on
+bit-for-bit from its seed alone.  Generators share polynomial objects, so
+each object keeps its verdicts (SigmaPoly._verdicts, shared with its
+negations), keyed by (n, d, trials, seed, field) or, exact, by (n, d), and
+is evaluated once per configuration.  Since the trial matrices depend only on
 (n, d, trials, seed, field), a run shares one set of trial contexts, with
 their word-product and sigma_t caches, across all of its relations, and
 one table from each generator to its values at all trials; a relation is
@@ -122,6 +127,11 @@ def enumerate_words(d: int, max_len: int, transposes: bool = True) -> list[Word]
     return out
 
 
+def _slot_order(slot) -> tuple:
+    """The sort key of a slot (degree, word, ...): degree, length, word."""
+    return slot[0], len(slot[1]), slot[1]
+
+
 def _slot_multisets(slots, budget: int):
     """Multisets of slots (degree, word, ...) with total degree * len(word)
     weight <= budget, as lists of slots; slots arrive sorted, and each list
@@ -147,27 +157,28 @@ def _slot_multisets(slots, budget: int):
 
 
 def _o_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
-    """(tbar, rbar, sbar, arguments, word texts, x block number, orbit,
-    parity) of each generator that o_relation_generators yields, in its
-    order.  The degree guard of sigma_partial is checked here, so a listing
-    that builds no polynomial is refused at the same generator."""
+    """(tbar, rbar, sbar, arguments, word texts, x block, orbit, parity) of
+    each generator that o_relation_generators yields, in its order.  The x
+    block is the tuple of its (degree, word) slots, one object per block.
+    The degree guard of sigma_partial is checked here, so a listing that
+    builds no polynomial is refused at the same generator."""
     if max_total_degree is None:
         max_total_degree = n + 4
     naming = Naming.generic(d)
-    # A slot is (degree, word, argument, text, orbit entry, parity term),
-    # built once per call: the orbit entry is (degree, length, the lesser
-    # of the word and its transpose), the parity term the degree where the
-    # transpose is the lesser, else 0.
+    # A slot is (degree, word, argument, text, orbit entry, parity term,
+    # (degree, word)), built once per call: the orbit entry is (degree,
+    # length, the lesser of the word and its transpose), the parity term the
+    # degree where the transpose is the lesser, else 0.
     words = []
     for w in enumerate_words(d, max_word_len):
         wt = w.T
         words.append((w, LinComb.of(w), word_text(w, naming)[1:-1], min(w, wt), wt < w))
     slots = [
-        (deg, w, arg, text, (deg, len(w), least), deg if flip else 0)
+        (deg, w, arg, text, (deg, len(w), least), deg if flip else 0, (deg, w))
         for deg in range(1, max_total_degree + 1)
         for w, arg, text, least, flip in words
     ]
-    slots.sort(key=lambda s: (s[0], len(s[1]), s[1]))
+    slots.sort(key=_slot_order)
 
     # One enumeration serves all three blocks.  Weight only grows along the
     # DFS, so the multisets within a smaller budget are, in the same order,
@@ -183,20 +194,21 @@ def _o_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
         orbit = orbits.setdefault(tuple(sorted([s[4] for s in ms])), len(orbits))
         parity = sum([s[5] for s in ms]) & 1
         args, texts = tuple([s[2] for s in ms]), tuple([s[3] for s in ms])
-        block = (degs, sum(degs), weight, args, texts, orbit, parity)
+        x_slots = tuple([s[6] for s in ms])
+        block = (degs, sum(degs), weight, args, texts, orbit, parity, x_slots)
         for b in range(weight, max_total_degree + 1):
             within[b].append(block)
             z_within.setdefault((sum(degs), b), []).append(block)
     del orbits  # the numbers suffice from here on
 
-    for x, (ts, t, x_weight, x_args, x_texts, _, _) in enumerate(within[max_total_degree]):
-        for rs, r, y_weight, y_args, y_texts, y_orbit, y_parity in within[
+    for ts, t, x_weight, x_args, x_texts, _, _, x in within[max_total_degree]:
+        for rs, r, y_weight, y_args, y_texts, y_orbit, y_parity, _ in within[
             max_total_degree - x_weight
         ]:
             if t + 2 * r <= n:
                 continue  # only the overflow shapes vanish
             budget = max_total_degree - x_weight - y_weight
-            for ss, _, _, z_args, z_texts, z_orbit, z_parity in z_within.get((r, budget), ()):
+            for ss, _, _, z_args, z_texts, z_orbit, z_parity, _ in z_within.get((r, budget), ()):
                 _check_degree(t + 2 * r)
                 yield (
                     ts, rs, ss, x_args + y_args + z_args, x_texts + y_texts + z_texts,
@@ -222,20 +234,50 @@ def o_relation_generators(
     within an x block, a generator whose y and z words are an earlier
     one's up to transposes and order (its orbit) yields that polynomial
     object, or one shared negation where the parities (the degrees of the
-    transposed slots, mod 2) differ."""
-    # orbit -> [polynomial at parity 0, at parity 1], within one x block
-    memo: dict[tuple[int, int], list] = {}
+    transposed slots, mod 2) differ.
+
+    The orbits are shared across x blocks too.  sigmatr._signed_sum sums,
+    over the index sets {(j_i, alpha_i)} of closed paths of Q(u, v, w) with
+    multidegree (tbar, rbar, sbar), the terms (-1)^xi * prod s_{j_i}(alpha_i)
+    with xi = sum(tbar) + sum_i j_i * (deg_y(alpha_i) + deg_z(alpha_i) + 1),
+    where deg_y and deg_z count untransposed y and z letters.  The letter
+    map x_i -> x_i^T, y_j -> z_j, z_k -> y_k into Q(u, w, v) swaps the two
+    vertices of every arrow, so it maps closed paths to closed paths, one
+    to one, and commutes with rotation and transposition; it keeps
+    primitivity, carries multidegree (tbar, rbar, sbar) to (tbar, sbar,
+    rbar), and untransposed y letters to untransposed z letters and back,
+    so deg_y + deg_z and xi do not change.  It thus maps the index sets of
+    sigma_{tbar,rbar,sbar} onto those of sigma_{tbar,sbar,rbar}, sign for
+    sign, and as formal polynomials
+
+        sigma_{tbar,rbar,sbar}(X; Y; Z) = sigma_{tbar,sbar,rbar}(X^T; Z; Y)
+
+    with X^T each x word transposed.  The partner generator (X^T, Z, Y),
+    its x slots sorted, lies in the block X^T, and its parity is that of
+    (X, Y, Z): the parity terms only move between blocks.  So the pair of
+    orbit (a, b) in block X serves orbit (b, a) in block X^T as well.  Each
+    x block keeps a table, orbit -> [polynomial at parity 0, at parity 1];
+    a new pair goes into the partner's table too, unless the partner block
+    was already left, and a block's table is dropped when it is left."""
+    tables: dict[tuple, dict[tuple[int, int], list]] = {}
+    left: set[tuple] = set()
     block = None
     for ts, rs, ss, args, texts, x, orbit, parity in _o_shapes(
         n, d, max_total_degree, max_word_len
     ):
-        if x != block:
-            memo.clear()
+        if x is not block:
+            tables.pop(block, None)
+            left.add(block)
             block = x
-        pair = memo.get(orbit)
+            table = tables.setdefault(x, {})
+            partner = tuple(sorted([(deg, w.T) for deg, w in x], key=_slot_order))
+            partner_table = None if partner in left else tables.setdefault(partner, {})
+        pair = table.get(orbit)
         if pair is None:
-            pair = memo[orbit] = [None, None]
+            pair = table[orbit] = [None, None]
             pair[parity] = sigma_partial_subst(ts, rs, ss, args)
+            if partner_table is not None:
+                partner_table[orbit[::-1]] = pair
         poly = pair[parity]
         if poly is None:
             poly = pair[parity] = -pair[parity ^ 1]
@@ -336,10 +378,17 @@ def verify_randomized(
     """Whether poly vanishes at every trial, evaluated in one pass over its
     monomials: each monomial's coefficient, reduced once, times its
     generators' values at all trials, one factor at a time.  Over F_p each
-    trial's total is reduced once, at the end."""
+    trial's total is reduced once, at the end.  The verdict is kept on the
+    polynomial object (and shared with its negations) by (n, d, trials,
+    seed, field), after the refusals."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     field = field_of(field)
+    verdicts = poly._verdict_cache()
+    key = (n, d, trials, seed, field)
+    verdict = verdicts.get(key)
+    if verdict is not None:
+        return verdict
     values = _trial_values(n, d, trials, seed, field)
     mul = operator.mul
     columns = []
@@ -351,7 +400,8 @@ def verify_randomized(
     totals = map(sum, zip(*columns))
     if field != "Q":
         totals = (total % field for total in totals)
-    return not any(totals)
+    verdict = verdicts[key] = not any(totals)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +441,29 @@ class MultiPoly:
     def var(cls, nvars: int, i: int) -> "MultiPoly":
         return cls(nvars, {1 << (_EXP_BITS * i): 1})
 
+    @classmethod
+    def _of_clean(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Wraps a dict of nonzero coefficients, each an int where integral,
+        else a Fraction; the dict is taken over, not copied."""
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
+
+    def _result(self, out: dict) -> "MultiPoly":
+        """out, a sum or product of clean terms, as a MultiPoly.  Generic
+        images hold ints only, which need only lose their zeros; a result
+        with a Fraction is cleaned through __init__."""
+        if not _INT.issuperset(map(type, out.values())):
+            return MultiPoly(self.nvars, out)
+        if not all(out.values()):
+            out = {e: c for e, c in out.items() if c}
+        return MultiPoly._of_clean(self.nvars, out)
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out)
+        return self._result(out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict = {}
@@ -403,14 +471,17 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return self._result(out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        # -c of a clean coefficient is clean
+        return MultiPoly._of_clean(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+
+_INT = frozenset([int])
 
 # Width in bits of one exponent in a packed exponent vector.  Every
 # exponent in an exact check is at most n * len(w) for a word w of a
@@ -531,11 +602,21 @@ def verify_exact(poly: SigmaPoly, n: int, d: int) -> bool:
 
     Sums coefficient times packed image, the coefficients scaled by the
     lcm of their denominators to ints; a zero sum counts only under the
-    field bound (see the module docstring), else it is redone wider."""
+    field bound (see the module docstring), else it is redone wider.  The
+    verdict is kept on the polynomial object (and shared with its
+    negations) by (n, d), after the refusals."""
     _check_exact_size(n, d)
     if poly_degree(poly) > EXACT_MAX_DEGREE:
         raise ValueError(f"exact mode is capped at degree {EXACT_MAX_DEGREE}")
-    terms = poly.monomials
+    verdicts = poly._verdict_cache()
+    verdict = verdicts.get((n, d))
+    if verdict is None:
+        verdict = verdicts[n, d] = _vanishes_exactly(poly.monomials, n, d)
+    return verdict
+
+
+def _vanishes_exactly(terms, n: int, d: int) -> bool:
+    """verify_exact's sum of coefficient times packed image."""
     scale = math.lcm(*[c.denominator for c in terms.values() if type(c) is not int])
     coeffs = terms.values() if scale == 1 else [(c * scale).numerator for c in terms.values()]
     images = _monomial_images(n, d)

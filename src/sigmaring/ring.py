@@ -134,9 +134,11 @@ class SigmaPoly:
     A cached sigma_partial base, which is substituted into many times,
     keeps its compiled substitution plan in _plan (see _keep_plan); a
     result of substitute that knows its degree keeps it in _degree, and so
-    does its negation."""
+    does its negation.  _verdicts holds the verdicts of relations.verify_*
+    by their parameters; a negation shares the dict of its source, since
+    -p vanishes exactly where p does."""
 
-    __slots__ = ("monomials", "_plan", "_degree")
+    __slots__ = ("monomials", "_plan", "_degree", "_verdicts")
 
     def __init__(self, monomials: dict[Monomial, Coeff] | None = None):
         clean: dict[Monomial, Coeff] = {}
@@ -160,7 +162,7 @@ class SigmaPoly:
 
     def __reduce__(self):
         # copy and pickle through the constructor, which __setattr__ allows;
-        # a kept plan and a recorded degree are caches and are rebuilt
+        # a kept plan, a recorded degree and verdicts are caches and are rebuilt
         return SigmaPoly, (self.monomials,)
 
     @classmethod
@@ -202,7 +204,16 @@ class SigmaPoly:
         degree = getattr(self, "_degree", None)
         if degree is not None:
             object.__setattr__(out, "_degree", degree)
+        object.__setattr__(out, "_verdicts", self._verdict_cache())
         return out
+
+    def _verdict_cache(self) -> dict:
+        """The verdict cache of relations.verify_*, shared with negations."""
+        cache = getattr(self, "_verdicts", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_verdicts", cache)
+        return cache
 
     def __rmul__(self, scalar) -> "SigmaPoly":
         s = _int_if_integral(scalar if type(scalar) is int else Fraction(scalar))

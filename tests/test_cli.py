@@ -375,6 +375,29 @@ def test_relations_exact_counts_skipped(capsys):
     assert out.splitlines()[-1].endswith(" relations, 0 falsified")
 
 
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            "-n 3 -d 2 --max-deg 5 --verify randomized --limit 0",
+            7450,
+            "6e9da65b830b5997b90e58b5cfc683ee631c5d6ccd83b54d56f1d0661bdea62f",
+        ),
+        (
+            "-n 2 -d 2 --max-deg 5 --verify exact --limit 0",
+            12226,
+            "c67d4fcdabf4b35ee2d92bd48b2a156450094f32fa94cce9656b3ab3f22333e9",
+        ),
+    ],
+)
+def test_relations_sweep_output_pinned(capsys, argv, lines, digest):
+    """The full listing and verdicts of two sweeps in which most relations
+    share a polynomial object, and its verdicts, with others."""
+    code, out, _ = run(capsys, "relations", *argv.split())
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_eval_assignment(capsys, tmp_path):
     assign = tmp_path / "m.json"
     assign.write_text(json.dumps({

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from sigmaring.relations import (
     verify_randomized,
     write_certificates,
 )
-from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
+from sigmaring.ring import SigmaGen, SigmaPoly, parse_poly, sigma_of_word
 from sigmaring.sigmatr import sigma_tr
 from sigmaring.words import Letter, LinComb, Naming, Word, parse_word, word_text
 
@@ -133,12 +135,13 @@ def test_orbit_polynomials_match_fresh_substitution(n, d, budget):
 
 @pytest.mark.parametrize(
     "n, d, budget, relations_, orbits",
-    [(1, 1, 3, 51, 32), (1, 2, 3, 326, 178), (2, 1, 4, 151, 77), (2, 2, 4, 1621, 690),
-     (3, 2, 4, 525, 186)],
+    [(1, 1, 3, 51, 17), (1, 2, 3, 326, 91), (2, 1, 4, 151, 43), (2, 2, 4, 1621, 360),
+     (3, 2, 4, 525, 100)],
 )
 def test_one_substitution_per_orbit(monkeypatch, n, d, budget, relations_, orbits):
-    """Within an x block, relations whose y and z words agree up to
-    transposes and the order of equal-degree slots are substituted once."""
+    """Relations whose y and z words agree up to transposes and the order
+    of equal-degree slots are substituted once, across x blocks too: the
+    relation (X, Y, Z) shares its orbit with (X^T, Z, Y)."""
     made = []
 
     def counting(*args):
@@ -441,6 +444,116 @@ def test_shared_contexts_do_not_cross_configurations():
     for n in (3, 2):
         assert verify_randomized(sigma_tr(1, 1), n, 3, trials=5, seed=3) == (n == 2)
     assert not verify_randomized(sigma_tr(0, 1), 2, 3, trials=10, seed=3)
+
+
+def verdicts_of(p):
+    return getattr(p, "_verdicts", None) or {}
+
+
+def test_verdicts_are_kept_per_randomized_configuration():
+    """One polynomial object, checked again after each change of one part
+    of (n, d, trials, seed, field), gets the verdict of that configuration,
+    not a kept one."""
+    naming = Naming.generic(2)
+    tr_x1 = parse_poly("tr[x1]", naming)
+    v = [random_matrix(2, seed + 1, field="Q").sigma(1) for seed in (5, 1005, 6)]
+    assert v[0] not in (v[1], v[2])
+    # (base configuration, the changed one, verdict at each)
+    cases = [
+        # s2 vanishes on 1 x 1 matrices only
+        (parse_poly("s2[x1]", naming), (1, 1, 3, 5, "Q"), (2, 1, 3, 5, "Q"), True, False),
+        # tr[x1] - v0 vanishes at the first trial of seed 5 only
+        (tr_x1 - SigmaPoly.scalar(v[0]), (2, 1, 1, 5, "Q"), (2, 1, 2, 5, "Q"), True, False),
+        (tr_x1 - SigmaPoly.scalar(v[0]), (2, 1, 1, 5, "Q"), (2, 1, 1, 6, "Q"), True, False),
+        # 3 tr[x1] vanishes over F_3 only
+        (3 * tr_x1, (2, 1, 3, 5, 3), (2, 1, 3, 5, "Q"), True, False),
+    ]
+    for p, base, changed, want_base, want_changed in cases:
+        for _ in range(2):
+            assert verify_randomized(p, *base) is want_base, base
+            assert verify_randomized(p, *changed) is want_changed, changed
+        assert verdicts_of(p) == {base: want_base, changed: want_changed}
+    # the field part is the field itself: "Q" and None, 7 and "7" are one
+    p = parse_poly("s3[x1]", naming)
+    assert verify_randomized(p, 2, 1, 2, 5, None) and verify_randomized(p, 2, 1, 2, 5, "7")
+    assert verdicts_of(p) == {(2, 1, 2, 5, "Q"): True, (2, 1, 2, 5, 7): True}
+    # d: a letter with no trial matrix at d = 1 is refused, not answered
+    p = parse_poly("tr[x1 x2] - tr[x1]*tr[x2]", naming)
+    assert verify_randomized(p, 1, 2, 3, 5)
+    with pytest.raises(ValueError, match="no matrix for letter index 2"):
+        verify_randomized(p, 1, 1, 3, 5)
+
+
+def test_verdicts_are_kept_per_exact_configuration():
+    naming = Naming.generic(2)
+    p = parse_poly("s2[x1]", naming)
+    for _ in range(2):
+        assert verify_exact(p, 1, 1) and not verify_exact(p, 2, 1)
+    assert verdicts_of(p) == {(1, 1): True, (2, 1): False}
+    # d: x2 has no generic matrix at d = 1
+    p = parse_poly("tr[x1 x2] - tr[x1]*tr[x2]", naming)
+    assert verify_exact(p, 1, 2)
+    with pytest.raises(KeyError):
+        verify_exact(p, 1, 1)
+
+
+def test_negation_shares_the_verdicts(monkeypatch):
+    """-p vanishes exactly where p does, so either one's verdict serves
+    the other, and nothing is evaluated again."""
+    fresh = [rel.poly for rel in take_o(2, 2, 4, limit=40)]
+
+    def refuse(*args):
+        raise AssertionError("a kept verdict was evaluated again")
+
+    for i, p in enumerate(fresh):
+        first, second = (p, -p) if i % 2 else (-p, p)
+        assert verify_randomized(first, 2, 2, 3, 11) and verify_exact(first, 2, 2)
+        assert second._verdicts is first._verdicts
+    monkeypatch.setattr(relations, "_trial_values", refuse)
+    monkeypatch.setattr(relations, "_vanishes_exactly", refuse)
+    for p in fresh:
+        for q in (p, -p, -(-p)):
+            assert verify_randomized(q, 2, 2, 3, 11) and verify_exact(q, 2, 2)
+    # an equal polynomial that is another object keeps its own verdicts
+    q = SigmaPoly(fresh[0].monomials)
+    with pytest.raises(AssertionError, match="evaluated again"):
+        verify_randomized(q, 2, 2, 3, 11)
+
+
+def test_kept_verdicts_do_not_skip_refusals(monkeypatch):
+    naming = Naming.generic(2)
+    p = parse_poly("tr[x1 x2] - tr[x1]*tr[x2]", naming)
+    assert verify_randomized(p, 1, 2, 1, 5)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            verify_randomized(p, 1, 2, trials, 5)
+    with pytest.raises(ValueError, match="no matrix for letter index 2"):
+        verify_randomized(p, 1, 1, 1, 5)
+    # verdicts taken under raised caps do not answer once the caps are back
+    s2, s5 = parse_poly("s2[x1]", naming), parse_poly("s5[x1]", naming)
+    monkeypatch.setattr(relations, "EXACT_MAX_N", 3)
+    monkeypatch.setattr(relations, "EXACT_MAX_D", 3)
+    monkeypatch.setattr(relations, "EXACT_MAX_DEGREE", 5)
+    checks = [(s2, 3, 1, False), (s2, 1, 3, True), (s5, 1, 1, True)]
+    for poly, n, d, want in checks:
+        assert verify_exact(poly, n, d) is want
+        assert (n, d) in poly._verdicts
+    monkeypatch.undo()
+    for poly, n, d, _ in checks:
+        with pytest.raises(ValueError, match="exact mode is capped"):
+            verify_exact(poly, n, d)
+
+
+def test_copies_carry_no_verdicts():
+    p = take_o(2, 2, 4, limit=1)[0].poly
+    q = -p
+    assert verify_randomized(p, 2, 2, 3, 11) and verify_exact(q, 2, 2)
+    assert len(p._verdicts) == 2
+    for original in (p, q):
+        for copied in (copy.copy(original), pickle.loads(pickle.dumps(original))):
+            assert copied == original and copied is not original
+            assert getattr(copied, "_verdicts", None) is None
+            assert getattr(-copied, "_verdicts") == {}
 
 
 def _pm_mul(a, b, nv: int):

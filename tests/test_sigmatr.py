@@ -236,3 +236,22 @@ def test_transpose_and_swap_symmetries(ts, rs, ss):
                     swapped = substitute(base, {**ident, a: ident[b], b: ident[a]})
                     assert swapped == base, (ts, rs, ss, a, b)
         start += len(block)
+
+
+@pytest.mark.parametrize("ts, rs, ss", list(yz_shapes(6)))
+def test_x_transpose_and_yz_swap_symmetry(ts, rs, ss):
+    """x_i -> x_i^T, y_j -> z_j, z_k -> y_k takes sigma_{tbar,rbar,sbar}
+    to sigma_{tbar,sbar,rbar} exactly, with no sign: the map swaps the two
+    vertices of the quiver and keeps every sign exponent.  So the relations
+    (X, Y, Z) and (X^T, Z, Y) share one polynomial in
+    o_relation_generators."""
+    u, v, w = len(ts), len(rs), len(ss)
+    image = {i: LinComb.of(Word([Letter(i, True)])) for i in range(1, u + 1)}
+    # y_j is letter u + j, and z_j of sigma_{tbar,sbar,rbar} is u + w + j
+    image.update({u + j: LinComb.of(Word([Letter(u + w + j)])) for j in range(1, v + 1)})
+    image.update({u + v + k: LinComb.of(Word([Letter(u + k)])) for k in range(1, w + 1)})
+    swapped = substitute(sigma_partial(ts, rs, ss), image)
+    want = sigma_partial(ts, ss, rs)
+    assert {m: (c, type(c)) for m, c in swapped.monomials.items()} == {
+        m: (c, type(c)) for m, c in want.monomials.items()
+    }, (ts, rs, ss)
