@@ -37,17 +37,17 @@ is evaluated once per configuration.  Since the trial matrices depend only on
 their word-product and sigma_t caches, across all of its relations, and
 one table from each generator to its values at all trials; a relation is
 evaluated at every trial in one pass over its monomials.  Exact
-verification likewise computes sigma_0, ..., sigma_n of each generic word
-matrix once per (n, d), with the same division-free kernel that evaluates
-exact matrices (matrices._sigmas), and shares them across every relation of
-the process.  A relation is then a linear combination of the generic images
-of its sigma-monomials; each distinct monomial's image is expanded once per
-(n, d), shared across the process, and kept packed into one int (Kronecker
-substitution).  Exponent vectors are packed too: a MultiPoly keys each
-term by one int with a field of _EXP_BITS bits per variable, sized from
-the exact caps, so multiplying two terms adds two ints.  A process-wide
-table per number of variables numbers the exponent vectors, and the
-coefficient of exponent id i fills a signed field of W bits at bit
+verification likewise shares one table per (n, d) across the process
+(_generic_images): it holds the generic matrices, sigma_0, ..., sigma_n of
+each generic word matrix, computed once with the same division-free kernel
+that evaluates exact matrices (matrices._sigmas), and the generic image of
+each sigma-monomial.  A relation is a linear combination of the images of
+its sigma-monomials; each distinct monomial's image is expanded once and
+kept packed into one int (Kronecker substitution).  Exponent vectors are
+packed too: a MultiPoly keys each term by one int with a field of _EXP_BITS
+bits per variable, sized from the exact caps, so multiplying two terms adds
+two ints.  The table numbers the exponent vectors of its images from 0, and
+the coefficient of exponent id i fills a signed field of W bits at bit
 W * i of the packed image.  The image keeps its height, the largest
 |coefficient|, beside it.  verify_exact scales the coefficients of a
 relation to ints, since a rational sum could cancel across fields, and
@@ -55,8 +55,8 @@ sums coefficient times packed image.  A nonzero sum proves that the
 relation does not vanish.  A zero sum proves that it does once
 sum |coefficient| * height < 2^(W - 1): that bounds every field of the
 true sum, and fields so bounded pack to 0 only when all of them are 0.
-Otherwise the sum is redone from fresh expansions at a width where the
-bound holds.
+Otherwise the sum is redone with the images repacked at a width where
+the bound holds.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .matrices import (
 )
 from .ring import Monomial, SigmaGen, SigmaPoly, normalize
 from .sigmatr import _check_degree, sigma_partial_subst
-from .words import Letter, LinComb, Naming, Word, parse_word, word_text
+from .words import Letter, LinComb, Naming, Word, parse_word, transpose_letters, word_text
 
 EXACT_MAX_N = 2
 EXACT_MAX_D = 2
@@ -270,7 +270,8 @@ def o_relation_generators(
             left.add(block)
             block = x
             table = tables.setdefault(x, {})
-            partner = tuple(sorted([(deg, w.T) for deg, w in x], key=_slot_order))
+            # plain letter tuples: they hash and compare as the words do
+            partner = tuple(sorted([(deg, transpose_letters(w)) for deg, w in x], key=_slot_order))
             partner_table = None if partner in left else tables.setdefault(partner, {})
         pair = table.get(orbit)
         if pair is None:
@@ -486,107 +487,79 @@ _INT = frozenset([int])
 # Width in bits of one exponent in a packed exponent vector.  Every
 # exponent in an exact check is at most n * len(w) for a word w of a
 # generator, and a generator within the degree cap has len(w) <=
-# EXACT_MAX_DEGREE; _generic_sigma refuses a word beyond the width.
+# EXACT_MAX_DEGREE; _GenericImages.sigma refuses a word beyond the width.
 _EXP_BITS = (EXACT_MAX_N * EXACT_MAX_DEGREE).bit_length()
 
-
-def _generic_matrices(n: int, d: int) -> dict[int, list[list[MultiPoly]]]:
-    nv = d * n * n
-    mats = {}
-    for k in range(1, d + 1):
-        mats[k] = [
-            [MultiPoly.var(nv, ((k - 1) * n + i) * n + j) for j in range(n)]
-            for i in range(n)
-        ]
-    return mats
-
-
-# (n, d, word) -> [sigma_0, ..., sigma_n] of the generic word matrix,
-# over d * n * n variables.  Shared by every verify_exact call of the
-# process; the exact caps bound n, d and the word length, hence the number
-# of keys.
-_generic_sigma_memo: dict[tuple, list[MultiPoly]] = {}
-
-# (n, d) -> {word: generic word matrix}, from the one-letter words on,
-# filled by _word_product with each word and its prefixes.
-_generic_words_memo: dict[tuple[int, int], dict] = {}
-
-
-def _generic_sigma(n: int, d: int, t: int, w: Word) -> MultiPoly:
-    nv = d * n * n
-    key = (n, d, w)
-    hit = _generic_sigma_memo.get(key)
-    if hit is None:
-        if n * len(w) >= 1 << _EXP_BITS:
-            raise ValueError(
-                f"exponents up to {n * len(w)} overflow a packed field of {_EXP_BITS} bits"
-            )
-        words = _generic_words_memo.get((n, d))
-        if words is None:
-            words = _generic_words_memo[n, d] = {
-                (Letter(k, tr),): [list(col) for col in zip(*m)] if tr else m
-                for k, m in _generic_matrices(n, d).items()
-                for tr in (False, True)
-            }
-        prod = _word_product(w, words, lambda lt: words[lt,], _matmul)
-        hit = _generic_sigma_memo[key] = _sigmas(prod, MultiPoly.const(nv, 1))
-    return hit[t] if t <= n else MultiPoly.const(nv, 0)
-
-
-# Number of variables -> {packed exponent vector -> its id}, one table per
-# process.  Packed vectors over different numbers of variables can be equal
-# ints, so each number of variables numbers its vectors from 0 apart.
-_exponent_ids: dict[int, dict[int, int]] = {}
 
 # Width in bits of the field of one exponent id in a packed image.
 _FIELD_BITS = 32
 
 
-class _MonomialImages(dict):
-    """sigma-monomial -> the generic image at one (n, d), the product of
-    its _generic_sigma factors, packed at _FIELD_BITS, and its height;
-    built on first lookup."""
+class _GenericImages(dict):
+    """The generic matrices of one (n, d), over d * n * n variables, and a
+    table from sigma-monomial to its generic image packed at _FIELD_BITS
+    and its height, each entry filled on first lookup.  Word matrices,
+    sigma_0, ..., sigma_n of each word and the exponent ids are kept here
+    too, so tables of different (n, d) share nothing."""
 
-    __slots__ = ("n", "d")
+    __slots__ = ("n", "nvars", "words", "sigmas", "ids")
 
     def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
+        self.n, self.nvars = n, d * n * n
+        self.words: dict[tuple, list] = {}
+        for k in range(1, d + 1):
+            rows = [
+                [MultiPoly.var(self.nvars, ((k - 1) * n + i) * n + j) for j in range(n)]
+                for i in range(n)
+            ]
+            self.words[Letter(k),] = rows
+            self.words[Letter(k, True),] = [list(col) for col in zip(*rows)]
+        self.sigmas: dict[Word, list[MultiPoly]] = {}
+        self.ids: dict[int, int] = {}
+
+    def _letter(self, lt: Letter) -> list:
+        rows = self.words.get((lt,))
+        if rows is None:
+            raise ValueError(f"no matrix for letter index {lt.index}")
+        return rows
+
+    def sigma(self, t: int, w: Word) -> MultiPoly:
+        hit = self.sigmas.get(w)
+        if hit is None:
+            if self.n * len(w) >= 1 << _EXP_BITS:
+                raise ValueError(
+                    f"exponents up to {self.n * len(w)} overflow a packed field of {_EXP_BITS} bits"
+                )
+            prod = _word_product(w, self.words, self._letter, _matmul)
+            hit = self.sigmas[w] = _sigmas(prod, MultiPoly.const(self.nvars, 1))
+        return hit[t] if t <= self.n else MultiPoly.const(self.nvars, 0)
+
+    def image(self, mono: Monomial) -> MultiPoly:
+        """The product of the generic sigma_t of the factors of mono."""
+        factors = [self.sigma(g.t, g.cycle) for g in mono]
+        if not factors:
+            return MultiPoly.const(self.nvars, 1)
+        return functools.reduce(operator.mul, factors)
+
+    def pack(self, image: MultiPoly, width: int) -> tuple[int, int]:
+        """(sum of c * 2^(width * id(e)) over the terms c * x^e, the largest
+        |c|): the image as one int with a signed field per exponent id, and
+        its height.  The coefficients of generic images are ints."""
+        ids = self.ids
+        packed = height = 0
+        for e, c in image.terms.items():
+            packed += c << (width * ids.setdefault(e, len(ids)))
+            height = max(height, abs(c))
+        return packed, height
 
     def __missing__(self, mono: Monomial) -> tuple[int, int]:
-        hit = self[mono] = _pack(_generic_image(self.n, self.d, mono), _FIELD_BITS)
+        hit = self[mono] = self.pack(self.image(mono), _FIELD_BITS)
         return hit
 
 
-# (n, d) -> its _MonomialImages.  Relations share few distinct monomials,
-# so each image is expanded once per process; the exact caps bound the
-# number of keys.
-_generic_monomial_memo: dict[tuple[int, int], _MonomialImages] = {}
-
-
-def _monomial_images(n: int, d: int) -> _MonomialImages:
-    images = _generic_monomial_memo.get((n, d))
-    if images is None:
-        images = _generic_monomial_memo[n, d] = _MonomialImages(n, d)
-    return images
-
-
-def _generic_image(n: int, d: int, mono: Monomial) -> MultiPoly:
-    factors = [_generic_sigma(n, d, g.t, g.cycle) for g in mono]
-    if not factors:
-        return MultiPoly.const(d * n * n, 1)
-    return functools.reduce(operator.mul, factors)
-
-
-def _pack(image: MultiPoly, width: int) -> tuple[int, int]:
-    """(sum of c * 2^(width * id(e)) over the terms c * x^e, the largest
-    |c|): the image as one int with a signed field per exponent id, and
-    its height.  The coefficients of generic images are ints."""
-    ids = _exponent_ids.setdefault(image.nvars, {})
-    packed = height = 0
-    for e, c in image.terms.items():
-        packed += c << (width * ids.setdefault(e, len(ids)))
-        height = max(height, abs(c))
-    return packed, height
+@functools.cache
+def _generic_images(n: int, d: int) -> _GenericImages:
+    return _GenericImages(n, d)
 
 
 def _check_exact_size(n: int, d: int) -> None:
@@ -619,7 +592,7 @@ def _vanishes_exactly(terms, n: int, d: int) -> bool:
     """verify_exact's sum of coefficient times packed image."""
     scale = math.lcm(*[c.denominator for c in terms.values() if type(c) is not int])
     coeffs = terms.values() if scale == 1 else [(c * scale).numerator for c in terms.values()]
-    images = _monomial_images(n, d)
+    images = _generic_images(n, d)
     total = bound = 0
     for mono, c in zip(terms, coeffs):
         packed, height = images[mono]
@@ -632,7 +605,7 @@ def _vanishes_exactly(terms, n: int, d: int) -> bool:
     # A field may have overflowed: redo the sum at a width where none can.
     width = bound.bit_length() + 1
     return not sum(
-        c * _pack(_generic_image(n, d, mono), width)[0] for mono, c in zip(terms, coeffs)
+        c * images.pack(images.image(mono), width)[0] for mono, c in zip(terms, coeffs)
     )
 
 

@@ -305,21 +305,18 @@ def test_verify_exact_accepts_and_rejects():
     assert not verify_exact(p, 2, 2)
 
 
-def test_verify_exact_caps(monkeypatch):
+def test_verify_exact_caps():
     p = next(iter(take_o(2, 1, 3, limit=1))).poly
     with pytest.raises(ValueError):
         verify_exact(p, 3, 2)
     with pytest.raises(ValueError):
         verify_exact(p, 2, 3)
     # a polynomial over the degree cap is refused before any image is built
-    for memo in ("_generic_sigma_memo", "_generic_monomial_memo", "_exponent_ids"):
-        monkeypatch.setattr(relations, memo, {})
+    relations._generic_images.cache_clear()
     deep = next(r for r in take_o(2, 1, 5) if poly_degree(r.poly) == 5)
     with pytest.raises(ValueError, match="exact mode is capped at degree 4"):
         verify_exact(deep.poly, 2, 1)
-    assert not relations._generic_sigma_memo
-    assert not relations._generic_monomial_memo
-    assert not relations._exponent_ids
+    assert relations._generic_images.cache_info().currsize == 0
 
 
 def test_verify_randomized_detects_nonzero():
@@ -490,10 +487,10 @@ def test_verdicts_are_kept_per_exact_configuration():
     for _ in range(2):
         assert verify_exact(p, 1, 1) and not verify_exact(p, 2, 1)
     assert verdicts_of(p) == {(1, 1): True, (2, 1): False}
-    # d: x2 has no generic matrix at d = 1
+    # d: x2 has no generic matrix at d = 1, refused as verify_randomized does
     p = parse_poly("tr[x1 x2] - tr[x1]*tr[x2]", naming)
     assert verify_exact(p, 1, 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no matrix for letter index 2"):
         verify_exact(p, 1, 1)
 
 
@@ -588,12 +585,22 @@ def _pm_sigma(a, t: int, nv: int) -> MultiPoly:
     return total
 
 
+def generic_matrices(n: int, d: int) -> dict[int, list[list[MultiPoly]]]:
+    """Letter index k -> the n x n matrix of variables e(k, i, j), numbered
+    ((k - 1) * n + i) * n + j, over d * n * n variables."""
+    nv = d * n * n
+    return {
+        k: [[MultiPoly.var(nv, ((k - 1) * n + i) * n + j) for j in range(n)] for i in range(n)]
+        for k in range(1, d + 1)
+    }
+
+
 def fresh_exact_oracle(poly, n, d):
     """Per-call exact check: new generic matrices, word products and
     Leibniz sigma_t images for every polynomial, independent of the
-    division-free kernel."""
+    division-free kernel and of the shared image tables."""
     nv = d * n * n
-    gm = relations._generic_matrices(n, d)
+    gm = generic_matrices(n, d)
     word_cache = {}
 
     def word_matrix(w):
@@ -623,17 +630,17 @@ def fresh_exact_oracle(poly, n, d):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_generic_sigma_matches_leibniz(monkeypatch, n):
+def test_generic_sigma_matches_leibniz(n):
     """The division-free kernel on generic word matrices, every t in
     0..n+1, against the Leibniz principal-minor expansion of the
     letter-by-letter product.  Words of up to 4 letters (2 at n = 3) come
     longest first, so each word matrix is built from prefixes not cached
     yet."""
-    monkeypatch.setattr(relations, "_generic_sigma_memo", {})
-    monkeypatch.setattr(relations, "_generic_words_memo", {})
+    relations._generic_images.cache_clear()
     d = 2
     nv = d * n * n
-    gm = relations._generic_matrices(n, d)
+    gm = generic_matrices(n, d)
+    images = relations._generic_images(n, d)
     for w in enumerate_words(d, 4 if n < 3 else 2)[::-1]:
         prod = None
         for lt in w:
@@ -642,7 +649,7 @@ def test_generic_sigma_matches_leibniz(monkeypatch, n):
                 m = [list(col) for col in zip(*m)]
             prod = m if prod is None else _pm_mul(prod, m, nv)
         for t in range(n + 2):
-            got = relations._generic_sigma(n, d, t, w)
+            got = images.sigma(t, w)
             assert got.terms == _pm_sigma(prod, t, nv).terms, (n, t, w)
 
 
@@ -662,15 +669,13 @@ def test_shared_exact_images_match_fresh_oracle(n, d, budget):
         assert verdicts == {True, False}
 
 
-def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
+def test_shared_exact_images_do_not_cross_configurations():
     # n = 1 relations hold at n = 1 only, so both verdicts occur.  The
     # one-letter polynomials are checked at d = 1 and at d = 2, where the
     # same words have different variables; the order of d alternates between
     # polynomials, so the images of shared monomials are first built at
     # either d.
-    monkeypatch.setattr(relations, "_generic_sigma_memo", {})
-    monkeypatch.setattr(relations, "_generic_monomial_memo", {})
-    monkeypatch.setattr(relations, "_exponent_ids", {})
+    relations._generic_images.cache_clear()
     polys = [(r.poly, 1) for r in take_o(1, 1, 3)[::3]]
     polys += [(r.poly, 2) for r in take_o(1, 2, 3)[::40]]
     configs = [
@@ -686,14 +691,18 @@ def test_shared_exact_images_do_not_cross_configurations(monkeypatch):
             assert verify_exact(*c) == want, c[1:]
         configs.reverse()
         verdicts.reverse()
-    # one id per exponent vector, numbered from 0 per number of variables,
-    # over every (n, d) checked
-    ids = relations._exponent_ids
-    assert {len(unpack(e, nvars)) for nvars, table in ids.items() for e in table} == {
-        n * n * d for n in (1, 2) for d in (1, 2)
-    }
-    for table in ids.values():
-        assert sorted(table.values()) == list(range(len(table)))
+    # one table per (n, d) checked, with one id per exponent vector over its
+    # n * n * d variables, numbered from 0; tables share no state
+    assert relations._generic_images.cache_info().currsize == 4
+    shapes = [(n, d) for n in (1, 2) for d in (1, 2)]
+    tables = [relations._generic_images(n, d) for n, d in shapes]
+    for table, (n, d) in zip(tables, shapes):
+        assert table.nvars == n * n * d and table.ids
+        for e in table.ids:
+            unpack(e, table.nvars)  # no field beyond the table's variables
+        assert sorted(table.ids.values()) == list(range(len(table.ids)))
+    for state in ("words", "sigmas", "ids"):
+        assert len({id(getattr(table, state)) for table in tables}) == 4
 
 
 _oracle_images: dict = {}
@@ -705,7 +714,7 @@ def oracle_image(n, d, mono):
     if key not in _oracle_images:
         image = MultiPoly.const(d * n * n, 1)
         for g in mono:
-            image = image * relations._generic_sigma(n, d, g.t, g.cycle)
+            image = image * relations._generic_images(n, d).sigma(g.t, g.cycle)
         _oracle_images[key] = image.terms
     return _oracle_images[key]
 
@@ -765,7 +774,7 @@ def test_packed_check_is_not_fooled_by_packed_cancellation():
     naming = Naming.generic(2)
     a = parse_poly("tr[x1]*tr[x2]", naming)
     b = parse_poly("tr[x1 x2]", naming)
-    (pa, _), (pb, _) = (relations._monomial_images(2, 2)[m] for m in (*a.monomials, *b.monomials))
+    (pa, _), (pb, _) = (relations._generic_images(2, 2)[m] for m in (*a.monomials, *b.monomials))
     if pa > pb:
         a, b, pa, pb = b, a, pb, pa
     assert 0 < pa < pb
@@ -872,12 +881,13 @@ def test_generic_sigma_refuses_exponents_beyond_the_field():
     assert relations.EXACT_MAX_N * EXACT_MAX_DEGREE < 1 << bits
     top = (1 << bits) - 1
     # at n = 1 the bound is sharp: sigma_1 of x^k is the monomial x^k
-    assert unpacked(relations._generic_sigma(1, 1, 1, Word([Letter(1)] * top))) == {(top,): 1}
-    memo = dict(relations._generic_sigma_memo)
+    tables = {n: relations._generic_images(n, 1) for n in (1, 2)}
+    assert unpacked(tables[1].sigma(1, Word([Letter(1)] * top))) == {(top,): 1}
+    memo = {n: dict(table.sigmas) for n, table in tables.items()}
     for n, length in ((1, top + 1), (2, (top + 1) // 2)):
         with pytest.raises(ValueError, match=f"exponents up to {top + 1} overflow"):
-            relations._generic_sigma(n, 1, 1, Word([Letter(1), Letter(1, True)] * (length // 2)))
-    assert relations._generic_sigma_memo == memo
+            tables[n].sigma(1, Word([Letter(1), Letter(1, True)] * (length // 2)))
+    assert {n: table.sigmas for n, table in tables.items()} == memo
 
 
 def test_certificate_roundtrip(tmp_path):
