@@ -252,7 +252,7 @@ def cmd_eval(args) -> int:
     mats = {}
     for name, obj in data["assign"].items():
         entries = {"n": data["n"], "field": data.get("field", "Q"), "entries": obj}
-        if data.get("field") == "Fp":
+        if "p" in data:
             entries["p"] = data["p"]
         mats[naming.index(name)] = matrix_from_json_obj(entries)
     value = EvalContext(mats).eval_poly(p)

@@ -5,10 +5,13 @@ coefficient of x^t in det(1 + x A).  `_sigmas` computes all of
 sigma_0, ..., sigma_n at once with Berkowitz's division-free recurrence,
 so the same code runs over Q, over F_p and over polynomial entries (the
 generic matrices of exact verification).  sigma_t is 0 for t > n.
+sigma_1 of a word w, its trace, needs neither: `_word_trace` reads it
+from the matrices P and Q of the halves of w as sum P[i][k] * Q[k][i],
+n^2 products over any of those rings, so `_sigmas` serves t >= 2 only.
 
 EvalContext binds letter indices to matrices and evaluates sigma-ring
-polynomials, caching word products and their sigma_t lists per assignment;
-each word product is its cached prefix times its last letter.
+polynomials, caching word products, traces and sigma_t lists per
+assignment; each word product is its cached prefix times its last letter.
 Every matrix entry is a raw value, one representation for both fields
 (`_reduce`): over Q an `int` where a value is integral and a `Fraction` only
 where it is not, over F_p the least nonnegative `int` representative.
@@ -98,6 +101,21 @@ def _word_product(w, cache: dict, letter, mul):
             m = letter(w[k])
             hit = cache[w[: k + 1]] = m if hit is None else mul(hit, m)
     return hit
+
+
+def _word_trace(w, cache: dict, letter, mul):
+    """tr of the matrix of the word w over any ring, read from the matrices
+    P and Q of its halves w[:h] and w[h:], h = len(w) // 2, as
+    sum P[i][k] * Q[k][i]: n^2 products and no matrix of w.  P and Q come
+    from _word_product with the same cache, letter and mul; a one-letter
+    word sums its diagonal.  Needs n >= 1: there is no ring zero."""
+    h = len(w) // 2
+    if not h:
+        m = _word_product(w, cache, letter, mul)
+        return reduce(operator.add, [row[i] for i, row in enumerate(m)])
+    p = _word_product(w[:h], cache, letter, mul)
+    q = _word_product(w[h:], cache, letter, mul)
+    return reduce(operator.add, map(_dot, p, zip(*q)))
 
 
 def _sigmas(a, one) -> list:
@@ -269,6 +287,7 @@ class EvalContext:
         self._letters = {k: m.rows for k, m in self.assignment.items()}
         self._words: dict[Word, list] = {}
         self._sigmas: dict[Word, list] = {}
+        self._traces: dict[Word, object] = {}
 
     def _letter_rows(self, lt) -> list:
         m = self._letters.get(lt.index)
@@ -294,26 +313,37 @@ class EvalContext:
             hit = self._sigmas[w] = [_reduce(v, self.field) for v in out]
         return hit
 
+    def _raw_sigma(self, t: int, w: Word):
+        """The raw value of sigma_t(w), t >= 0: the trace of w when
+        t = 1 <= n, else entry t of its sigma_t list, or 0 for t > n.  The
+        list is built even then, so that a letter with no matrix is
+        refused."""
+        if t == 1 <= self.n:
+            hit = self._traces.get(w)
+            if hit is None:
+                trace = _word_trace(w, self._words, self._letter_rows, self._mul)
+                hit = self._traces[w] = _reduce(trace, self.field)
+            return hit
+        s = self._sigma_list(w)
+        return s[t] if t <= self.n else 0
+
     def word_matrix(self, w: Word) -> ExactMatrix:
         return ExactMatrix(self._word_rows(w), self.field)
 
     def sigma(self, t: int, w: Word):
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return as_element(self._sigma_list(w)[t] if t <= self.n else 0, self.field)
+        return as_element(self._raw_sigma(t, w), self.field)
 
     def eval_poly(self, p: SigmaPoly):
         # An int coefficient enters as is: over F_p the sum is reduced once,
         # by as_element.
-        field, n, sigmas = self.field, self.n, self._sigmas
+        field, raw_sigma = self.field, self._raw_sigma
         total = 0
         for mono, coeff in p.monomials.items():
             term = coeff if type(coeff) is int else _reduce(coeff, field)
             for t, _, cycle in mono:
-                s = sigmas.get(cycle)
-                if s is None:
-                    s = self._sigma_list(cycle)
-                term *= s[t] if t <= n else 0
+                term *= raw_sigma(t, cycle)
             total += term
         return as_element(total, field)
 
@@ -331,8 +361,14 @@ def matrix_from_json_obj(obj: dict) -> ExactMatrix:
         and all(isinstance(row, list) and all(type(v) in (int, str) for v in row) for row in rows)
     ):
         raise ValueError("matrix entries must be rows of integers or rational strings")
-    # str() first, so that a p of any JSON type fails with ValueError
-    field = "Q" if obj["field"] == "Q" else int(str(obj["p"]))
+    field = obj["field"]
+    if field == "Fp":
+        if "p" not in obj:
+            raise ValueError('an "Fp" matrix needs its prime "p"')
+        # str() first, so that a p of any JSON type fails with ValueError
+        field = int(str(obj["p"]))
+    elif field != "Q":
+        raise ValueError(f'field must be "Q" or "Fp", got {field!r}')
     entries = [[Fraction(v) for v in row] for row in rows]
     m = ExactMatrix(entries, field)
     if m.n != obj["n"]:

@@ -13,40 +13,45 @@ slots.  Each o_relation_generators call builds each word's argument and
 text once, enumerates the multisets once, within the whole budget, and
 serves every block from that list: a smaller budget takes the multisets
 whose weight fits, in the same order, and the z block takes only those
-whose degree sum is r.  The enumeration visits only slots that fit the
-remaining budget.  The polynomial of a generator substitutes its
-single-word arguments into the cached sigma_{tbar,rbar,sbar} at word level
-(ring.substitute), which records its degree, the weight of its slots, so
-generation costs about what it emits and poly_degree reads the degree
-without walking the monomials.  Transposing a y or z word changes
-sigma_{tbar,rbar,sbar} by a known sign, so each block carries its
-transpose orbit and a parity, and only the first generator of each orbit
-is substituted; transposing the x words and swapping the y and z blocks
-keeps the polynomial, so an orbit spans the x blocks X and X^T (see
-o_relation_generators): 100 substitutions for the 525 generators at
-n = 3, d = 2, degree 4.  list_relations enumerates the same generators,
-with the same degree guard, and builds no polynomial.
+whose degree sum is r; a y block is taken only if a z block still fits.
+The enumeration visits only slots that fit the remaining budget.  The
+polynomial of a generator substitutes its single-word arguments into the
+cached sigma_{tbar,rbar,sbar} at word level (ring.substitute), which
+records its degree, the weight of its slots, so generation costs about
+what it emits and poly_degree reads the degree without walking the
+monomials.  Transposing a y or z word changes sigma_{tbar,rbar,sbar} by
+a known sign, so each block carries its transpose orbit and a parity,
+and only the first generator of each orbit is substituted; transposing
+the x words and swapping the y and z blocks keeps the polynomial, so an
+orbit spans the x blocks X and X^T (see o_relation_generators): 100
+substitutions for the 525 generators at n = 3, d = 2, degree 4.
+list_relations enumerates the same generators, with the same degree
+guard, and builds no polynomial.
 
 Verification seeds follow a fixed schedule: the matrix for letter k in
 trial i is drawn with seed + 1000 * i + k, so a certificate replays
-bit-for-bit from its seed alone.  Generators share polynomial objects, so
-each object keeps its verdicts (SigmaPoly._verdicts, shared with its
-negations), keyed by (n, d, trials, seed, field) or, exact, by (n, d), and
-is evaluated once per configuration.  Since the trial matrices depend only on
-(n, d, trials, seed, field), a run shares one set of trial contexts, with
-their word-product and sigma_t caches, across all of its relations, and
-one table from each generator to its values at all trials; a relation is
-evaluated at every trial in one pass over its monomials.  Exact
-verification likewise shares one table per (n, d) across the process
-(_generic_images): it holds the generic matrices, sigma_0, ..., sigma_n of
-each generic word matrix, computed once with the same division-free kernel
-that evaluates exact matrices (matrices._sigmas), and the generic image of
-each sigma-monomial.  A relation is a linear combination of the images of
-its sigma-monomials; each distinct monomial's image is expanded once and
-kept packed into one int (Kronecker substitution).  Exponent vectors are
-packed too: a MultiPoly keys each term by one int with a field of _EXP_BITS
-bits per variable, sized from the exact caps, so multiplying two terms adds
-two ints.  The table numbers the exponent vectors of its images from 0, and
+bit-for-bit from its seed alone.  Generators share polynomial objects,
+so each object keeps its verdicts (SigmaPoly._verdicts, shared with its
+negations), keyed by (n, d, trials, seed, field) or, exact, by (n, d),
+and is evaluated once per configuration.  Since the trial matrices
+depend only on (n, d, trials, seed, field), a run shares one set of
+trial contexts, with their word-product and sigma_t caches, across all
+of its relations, and one table from each generator to its values at all
+trials; a relation is evaluated at every trial in one pass over its
+monomials.  Exact verification likewise shares one table per (n, d)
+across the process (_generic_images): it holds the generic matrices, the
+trace of each generic word and sigma_0, ..., sigma_n of each generic
+word matrix that needs t >= 2, computed once with the kernels that
+evaluate exact matrices (matrices._word_trace, from the two halves of
+the word, and the division-free matrices._sigmas), and the generic image
+of each sigma-monomial.  The trial values of a generator s_1(w) are
+likewise traces of the halves of w, not sigma_1 of the matrix of w.  A
+relation is a linear combination of the images of its sigma-monomials;
+each distinct monomial's image is expanded once and kept packed into one
+int (Kronecker substitution).  Exponent vectors are packed too: a
+MultiPoly keys each term by one int with a field of _EXP_BITS bits per
+variable, sized from the exact caps, so multiplying two terms adds two
+ints.  The table numbers the exponent vectors of its images from 0, and
 the coefficient of exponent id i fills a signed field of W bits at bit
 W * i of the packed image.  The image keeps its height, the largest
 |coefficient|, beside it.  verify_exact scales the coefficients of a
@@ -56,8 +61,7 @@ relation does not vanish.  A zero sum proves that it does once
 sum |coefficient| * height < 2^(W - 1): that bounds every field of the
 true sum, and fields so bounded pack to 0 only when all of them are 0.
 Otherwise the sum is redone with the images repacked at a width where
-the bound holds.
-"""
+the bound holds."""
 
 from __future__ import annotations
 
@@ -77,6 +81,7 @@ from .matrices import (
     _reduce,
     _sigmas,
     _word_product,
+    _word_trace,
     field_of,
     random_matrix,
 )
@@ -183,9 +188,13 @@ def _o_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
     # One enumeration serves all three blocks.  Weight only grows along the
     # DFS, so the multisets within a smaller budget are, in the same order,
     # those of the full enumeration whose weight fits; the z block is further
-    # split by degree sum, since its sum must equal r.
+    # split by degree sum, since its sum must equal r.  A z block of degree
+    # sum r weighs at least r, so a y block of degree sum r is listed by its
+    # weight plus r: a y block that leaves no room for a z block is never
+    # visited, and every y block visited has at least one z block.
     # Blocks of one orbit share the number of their sorted orbit entries.
     within: list[list[tuple]] = [[] for _ in range(max_total_degree + 1)]
+    y_within: list[list[tuple]] = [[] for _ in range(max_total_degree + 1)]
     z_within: dict[tuple[int, int], list[tuple]] = {}
     orbits: dict[tuple, int] = {}
     for ms in _slot_multisets(slots, max_total_degree):
@@ -199,19 +208,22 @@ def _o_shapes(n: int, d: int, max_total_degree: int | None, max_word_len: int):
         for b in range(weight, max_total_degree + 1):
             within[b].append(block)
             z_within.setdefault((sum(degs), b), []).append(block)
+        for b in range(weight + sum(degs), max_total_degree + 1):
+            y_within[b].append(block)
     del orbits  # the numbers suffice from here on
 
     for ts, t, x_weight, x_args, x_texts, _, _, x in within[max_total_degree]:
-        for rs, r, y_weight, y_args, y_texts, y_orbit, y_parity, _ in within[
+        for rs, r, y_weight, y_args, y_texts, y_orbit, y_parity, _ in y_within[
             max_total_degree - x_weight
         ]:
             if t + 2 * r <= n:
                 continue  # only the overflow shapes vanish
+            _check_degree(t + 2 * r)
+            xy_args, xy_texts = x_args + y_args, x_texts + y_texts
             budget = max_total_degree - x_weight - y_weight
-            for ss, _, _, z_args, z_texts, z_orbit, z_parity, _ in z_within.get((r, budget), ()):
-                _check_degree(t + 2 * r)
+            for ss, _, _, z_args, z_texts, z_orbit, z_parity, _ in z_within[r, budget]:
                 yield (
-                    ts, rs, ss, x_args + y_args + z_args, x_texts + y_texts + z_texts,
+                    ts, rs, ss, xy_args + z_args, xy_texts + z_texts,
                     x, (y_orbit, z_orbit), y_parity ^ z_parity,
                 )
 
@@ -354,10 +366,7 @@ class _TrialValues(dict):
 
     def __missing__(self, gen: SigmaGen) -> tuple:
         t, _, cycle = gen
-        # Every list is built, as eval_poly builds it, so that a letter with
-        # no matrix is refused even where t > n.
-        lists = [c._sigma_list(cycle) for c in self.contexts]
-        hit = self[gen] = tuple([s[t] if t < len(s) else 0 for s in lists])
+        hit = self[gen] = tuple([c._raw_sigma(t, cycle) for c in self.contexts])
         return hit
 
 
@@ -498,11 +507,11 @@ _FIELD_BITS = 32
 class _GenericImages(dict):
     """The generic matrices of one (n, d), over d * n * n variables, and a
     table from sigma-monomial to its generic image packed at _FIELD_BITS
-    and its height, each entry filled on first lookup.  Word matrices,
-    sigma_0, ..., sigma_n of each word and the exponent ids are kept here
-    too, so tables of different (n, d) share nothing."""
+    and its height, each entry filled on first lookup.  Word matrices, the
+    trace and sigma_0, ..., sigma_n of each word and the exponent ids are
+    kept here too, so tables of different (n, d) share nothing."""
 
-    __slots__ = ("n", "nvars", "words", "sigmas", "ids")
+    __slots__ = ("n", "nvars", "words", "traces", "sigmas", "ids")
 
     def __init__(self, n: int, d: int):
         self.n, self.nvars = n, d * n * n
@@ -514,6 +523,7 @@ class _GenericImages(dict):
             ]
             self.words[Letter(k),] = rows
             self.words[Letter(k, True),] = [list(col) for col in zip(*rows)]
+        self.traces: dict[Word, MultiPoly] = {}
         self.sigmas: dict[Word, list[MultiPoly]] = {}
         self.ids: dict[int, int] = {}
 
@@ -523,13 +533,24 @@ class _GenericImages(dict):
             raise ValueError(f"no matrix for letter index {lt.index}")
         return rows
 
+    def _check_width(self, w: Word) -> None:
+        if self.n * len(w) >= 1 << _EXP_BITS:
+            raise ValueError(
+                f"exponents up to {self.n * len(w)} overflow a packed field of {_EXP_BITS} bits"
+            )
+
     def sigma(self, t: int, w: Word) -> MultiPoly:
+        """The generic sigma_t(w): its trace when t = 1 <= n, else entry t
+        of its sigma_t list, or 0 for t > n."""
+        if t == 1 <= self.n:
+            hit = self.traces.get(w)
+            if hit is None:
+                self._check_width(w)
+                hit = self.traces[w] = _word_trace(w, self.words, self._letter, _matmul)
+            return hit
         hit = self.sigmas.get(w)
         if hit is None:
-            if self.n * len(w) >= 1 << _EXP_BITS:
-                raise ValueError(
-                    f"exponents up to {self.n * len(w)} overflow a packed field of {_EXP_BITS} bits"
-                )
+            self._check_width(w)
             prod = _word_product(w, self.words, self._letter, _matmul)
             hit = self.sigmas[w] = _sigmas(prod, MultiPoly.const(self.nvars, 1))
         return hit[t] if t <= self.n else MultiPoly.const(self.nvars, 0)

@@ -441,6 +441,34 @@ def test_eval_fp_vanishing_denominator_exits_two(capsys, tmp_path):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"field": "Z"}, """field must be "Q" or "Fp", got 'Z'"""),
+    ({"field": "Z", "p": 7}, """field must be "Q" or "Fp", got 'Z'"""),
+    ({"field": "Fp"}, 'an "Fp" matrix needs its prime "p"'),
+])
+def test_eval_field_errors_name_the_field(capsys, tmp_path, data, message):
+    assign = tmp_path / "m.json"
+    assign.write_text(json.dumps({"n": 1, **data, "assign": {"x": [["2"]]}}))
+    code, out, err = run(capsys, "eval", "tr[x]", "--assign", str(assign))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field", [{"field": "Q"}, {"field": "Fp", "p": 7}])
+def test_eval_traces(capsys, tmp_path, field):
+    """s_1 at n = 0 is 0; a letter with no matrix is refused at s_1, of a
+    one-letter word and of a longer one."""
+    assign = tmp_path / "m.json"
+    assign.write_text(json.dumps({"n": 0, **field, "assign": {"x": []}}))
+    code, out, _ = run(capsys, "eval", "tr[x] + tr[x x']", "--assign", str(assign))
+    assert code == 0 and out == "0\n"
+    assign.write_text(json.dumps({"n": 2, **field, "assign": {"x": [["1", "2"], ["3", "4"]]}}))
+    for poly in ("tr[x] + tr[y]", "tr[x y]", "tr[x x' y]"):
+        code, out, err = run(capsys, "eval", poly, "--assign", str(assign))
+        assert code == 2
+        assert out == "" and err == "error: no matrix for letter index 2\n", poly
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sigma-tr", "-t", "1"])

@@ -10,13 +10,18 @@ from sigmaring.matrices import (
     ExactMatrix,
     _check_prime,
     _is_prime,
+    _matmul,
+    _reduce,
     _sigmas,
+    _word_product,
+    _word_trace,
     as_element,
     field_of,
     matrix_from_json_obj,
     random_matrix,
     random_symmetric,
 )
+from sigmaring.relations import MultiPoly, _GenericImages, enumerate_words
 from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
 from sigmaring.sigmatr import sigma_tr
 from sigmaring.tableau import bpf, build_T
@@ -434,6 +439,37 @@ def test_prefix_word_products_match_letter_by_letter(field, fractional):
             assert ctx.word_matrix(w) == want, w
 
 
+def trace_ring(ring: str):
+    """(letter, mul, unit, normal form of a value) of one ring of word
+    matrices over letters 1 and 2: the raw values of EvalContext at n = 3
+    over Q (int entries, then Fraction entries) and over F_7, and generic
+    MultiPoly matrices at n = 2."""
+    if ring == "generic":
+        table = _GenericImages(2, 2)
+        return table._letter, _matmul, MultiPoly.const(table.nvars, 1), lambda v: v.terms
+    field = 7 if ring == "Fp" else "Q"
+    make = fractional_matrix if ring == "Q-fractions" else (lambda n, s, f: random_matrix(n, s, field=f))
+    ctx = EvalContext({k: make(3, 70 + k, field) for k in (1, 2)})
+    return ctx._letter_rows, ctx._mul, 1, lambda v: _reduce(v, field)
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q-fractions", "Fp", "generic"])
+def test_word_trace_is_sigma_1_of_the_word_product(ring):
+    """tr(w) from the matrices of its two halves equals sigma_1 of its
+    product matrix by Berkowitz, on every word of up to 6 letters over
+    letters 1 and 2 with transposes."""
+    letter, mul, one, form = trace_ring(ring)
+    halves, whole = {}, {}
+    for w in enumerate_words(2, 6):
+        got = _word_trace(w, halves, letter, mul)
+        assert form(got) == form(_sigmas(_word_product(w, whole, letter, mul), one)[1]), w
+    # the halves are cached as _word_product caches them; w itself is not
+    w = enumerate_words(2, 5)[-1]
+    cache: dict = {}
+    _word_trace(w, cache, letter, mul)
+    assert set(cache) == {w[:1], w[:2], w[2:3], w[2:4], w[2:]}
+
+
 @pytest.mark.parametrize("p", [5, 7, 10007])
 def test_int_layer_stays_reduced_mod_p(p):
     """Cached word products and sigma_t lists hold least nonnegative
@@ -444,7 +480,9 @@ def test_int_layer_stays_reduced_mod_p(p):
         ctx.eval_poly(random_sigma_poly(rng, 3, 2))
     values = [v for rows in ctx._words.values() for row in rows for v in row]
     values += [v for s in ctx._sigmas.values() for v in s]
+    values += ctx._traces.values()
     assert values and all(type(v) is int and 0 <= v < p for v in values)
+    assert ctx._traces
     assert any(len(key) > 1 for key in ctx._words)
 
 

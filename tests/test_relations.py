@@ -481,6 +481,23 @@ def test_verdicts_are_kept_per_randomized_configuration():
         verify_randomized(p, 1, 1, 3, 5)
 
 
+@pytest.mark.parametrize("text", ["tr[x2]", "tr[x1 x2]", "tr[x1 x1' x2]"])
+def test_missing_letter_refused_at_trace(text):
+    """A polynomial of traces only, one of them of a letter with no
+    matrix at d = 1, is refused by both verifications, as by eval_poly."""
+    p = parse_poly(text, Naming.generic(2))
+    assert all(g.t == 1 for mono in p.monomials for g in mono)
+    for n in (1, 2):
+        relations._trial_values.cache_clear()
+        relations._generic_images.cache_clear()
+        for check in (lambda: verify_randomized(p, n, 1, 2, 5), lambda: verify_exact(p, n, 1)):
+            with pytest.raises(ValueError, match="no matrix for letter index 2"):
+                check()
+        ctx = EvalContext({1: random_matrix(n, 5)})
+        with pytest.raises(ValueError, match="no matrix for letter index 2"):
+            ctx.eval_poly(p)
+
+
 def test_verdicts_are_kept_per_exact_configuration():
     naming = Naming.generic(2)
     p = parse_poly("s2[x1]", naming)
@@ -701,7 +718,7 @@ def test_shared_exact_images_do_not_cross_configurations():
         for e in table.ids:
             unpack(e, table.nvars)  # no field beyond the table's variables
         assert sorted(table.ids.values()) == list(range(len(table.ids)))
-    for state in ("words", "sigmas", "ids"):
+    for state in ("words", "traces", "sigmas", "ids"):
         assert len({id(getattr(table, state)) for table in tables}) == 4
 
 
@@ -883,11 +900,14 @@ def test_generic_sigma_refuses_exponents_beyond_the_field():
     # at n = 1 the bound is sharp: sigma_1 of x^k is the monomial x^k
     tables = {n: relations._generic_images(n, 1) for n in (1, 2)}
     assert unpacked(tables[1].sigma(1, Word([Letter(1)] * top))) == {(top,): 1}
-    memo = {n: dict(table.sigmas) for n, table in tables.items()}
+    state = ("words", "traces", "sigmas")
+    memo = {n: [dict(getattr(table, k)) for k in state] for n, table in tables.items()}
     for n, length in ((1, top + 1), (2, (top + 1) // 2)):
-        with pytest.raises(ValueError, match=f"exponents up to {top + 1} overflow"):
-            tables[n].sigma(1, Word([Letter(1), Letter(1, True)] * (length // 2)))
-    assert {n: table.sigmas for n, table in tables.items()} == memo
+        w = Word([Letter(1), Letter(1, True)] * (length // 2))
+        for t in (1, 2):  # the trace is refused as the sigma_t list is
+            with pytest.raises(ValueError, match=f"exponents up to {top + 1} overflow"):
+                tables[n].sigma(t, w)
+    assert {n: [getattr(table, k) for k in state] for n, table in tables.items()} == memo
 
 
 def test_certificate_roundtrip(tmp_path):
