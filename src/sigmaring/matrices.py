@@ -5,19 +5,23 @@ coefficient of x^t in det(1 + x A).  `_sigmas` computes all of
 sigma_0, ..., sigma_n at once with Berkowitz's division-free recurrence,
 so the same code runs over Q, over F_p and over polynomial entries (the
 generic matrices of exact verification).  sigma_t is 0 for t > n.
-sigma_1 of a word w, its trace, needs neither: `_word_trace` reads it
-from the matrices P and Q of the halves of w as sum P[i][k] * Q[k][i],
-n^2 products over any of those rings, so `_sigmas` serves t >= 2 only.
+
+`_WordTable` holds the words of one assignment of letter matrices over
+any of those rings, given its matrix product and normal form: each word
+matrix, its cached prefix times its last letter; the trace of each word,
+read from the matrices P and Q of its halves as sum P[i][k] * Q[k][i],
+n^2 products and no matrix of the word; and sigma_0, ..., sigma_n of
+each word that needs t >= 2, from `_sigmas`.  A letter with no matrix is
+refused there, for every ring and every t.
 
 EvalContext binds letter indices to matrices and evaluates sigma-ring
-polynomials, caching word products, traces and sigma_t lists per
-assignment; each word product is its cached prefix times its last letter.
-Every matrix entry is a raw value, one representation for both fields
-(`_reduce`): over Q an `int` where a value is integral and a `Fraction` only
-where it is not, over F_p the least nonnegative `int` representative.
-`ExactMatrix` rows hold raw values, and EvalContext computes on them.
-The values returned to the caller, such as those of `sigma`, `det` and
-`eval_poly`, are `Fraction`s over Q and those same ints in [0, p) over F_p.
+polynomials through one word table over raw values.  Every matrix entry
+is a raw value, one representation for both fields (`_reduce`): over Q an
+`int` where a value is integral and a `Fraction` only where it is not,
+over F_p the least nonnegative `int` representative.  `ExactMatrix` rows
+hold raw values, and EvalContext computes on them.  The values returned
+to the caller, such as those of `sigma`, `det` and `eval_poly`, are
+`Fraction`s over Q and those same ints in [0, p) over F_p.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .ring import SigmaPoly
-from .words import Word
+from .words import Letter, Word
 
 _checked_primes: set[int] = set()
 
@@ -85,39 +89,6 @@ def _matmul(a, b):
     return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _word_product(w, cache: dict, letter, mul):
-    """The matrix of the word w over any ring, each word built as the cached
-    product of its prefix w[:-1] and its last letter: one product per word
-    that is not in cache yet.  cache maps words (tuples of letters) to
-    matrices and is filled for w and every prefix of it; letter(lt) is the
-    matrix of one letter and mul(a, b) the product of two matrices."""
-    hit = cache.get(w)
-    if hit is None:
-        k = len(w) - 1
-        while k and w[:k] not in cache:
-            k -= 1
-        hit = cache[w[:k]] if k else None
-        for k in range(k, len(w)):
-            m = letter(w[k])
-            hit = cache[w[: k + 1]] = m if hit is None else mul(hit, m)
-    return hit
-
-
-def _word_trace(w, cache: dict, letter, mul):
-    """tr of the matrix of the word w over any ring, read from the matrices
-    P and Q of its halves w[:h] and w[h:], h = len(w) // 2, as
-    sum P[i][k] * Q[k][i]: n^2 products and no matrix of w.  P and Q come
-    from _word_product with the same cache, letter and mul; a one-letter
-    word sums its diagonal.  Needs n >= 1: there is no ring zero."""
-    h = len(w) // 2
-    if not h:
-        m = _word_product(w, cache, letter, mul)
-        return reduce(operator.add, [row[i] for i, row in enumerate(m)])
-    p = _word_product(w[:h], cache, letter, mul)
-    q = _word_product(w[h:], cache, letter, mul)
-    return reduce(operator.add, map(_dot, p, zip(*q)))
-
-
 def _sigmas(a, one) -> list:
     """[sigma_0, ..., sigma_n] of the square list-of-rows matrix a over any
     commutative ring with unit `one`, using only +, * and negation
@@ -140,6 +111,69 @@ def _sigmas(a, one) -> list:
             w.append(v if j % 2 else -v)
         s = [_dot(s[: i + 1], w[i::-1]) for i in range(k + 2)]
     return s
+
+
+class _WordTable:
+    """Word matrices, traces and sigma_t lists for one assignment of letter
+    matrices over one commutative ring, each filled on first use.  letters
+    maps letter indices to list-of-rows matrices; mul(a, b) is the product
+    of two matrices, norm(v) the normal form of a trace or sigma_t value,
+    and one and zero the ring's units.  Each letter and its transpose are
+    built once; each word matrix is its cached prefix times its last
+    letter."""
+
+    __slots__ = ("n", "mul", "norm", "one", "zero", "words", "traces", "sigmas")
+
+    def __init__(self, n: int, letters: dict, mul, norm, one, zero):
+        self.n, self.mul, self.norm, self.one, self.zero = n, mul, norm, one, zero
+        self.words: dict[tuple, list] = {}
+        for k, rows in letters.items():
+            self.words[Letter(k),] = rows
+            self.words[Letter(k, True),] = [list(col) for col in zip(*rows)]
+        self.traces: dict[Word, object] = {}
+        self.sigmas: dict[Word, list] = {}
+
+    def product(self, w) -> list:
+        """The matrix of the word w (a tuple of letters): one product per
+        word not cached yet, filling w and every prefix of it."""
+        words = self.words
+        hit = words.get(w)
+        if hit is None:
+            k = len(w) - 1
+            while k and w[:k] not in words:
+                k -= 1
+            hit = words.get(w[:k])  # k = 0 only if w[0] has no matrix
+            for k in range(k, len(w)):
+                m = words.get(w[k : k + 1])
+                if m is None:
+                    raise ValueError(f"no matrix for letter index {w[k].index}")
+                hit = words[w[: k + 1]] = self.mul(hit, m)
+        return hit
+
+    def trace(self, w) -> object:
+        """tr of the matrix of w, read from the matrices P and Q of its
+        halves w[:h] and w[h:], h = len(w) // 2, as sum P[i][k] * Q[k][i]:
+        n^2 products and no matrix of w.  A one-letter word sums its
+        diagonal."""
+        h = len(w) // 2
+        if not h:
+            return reduce(operator.add, [row[i] for i, row in enumerate(self.product(w))])
+        p, q = self.product(w[:h]), self.product(w[h:])
+        return reduce(operator.add, map(_dot, p, zip(*q)))
+
+    def sigma(self, t: int, w: Word):
+        """sigma_t(w), t >= 0: the trace of w when t = 1 <= n, else entry t
+        of its sigma_t list, or zero for t > n.  The list is built even
+        then, so that a letter with no matrix is refused."""
+        if t == 1 <= self.n:
+            hit = self.traces.get(w)
+            if hit is None:
+                hit = self.traces[w] = self.norm(self.trace(w))
+            return hit
+        hit = self.sigmas.get(w)
+        if hit is None:
+            hit = self.sigmas[w] = list(map(self.norm, _sigmas(self.product(w), self.one)))
+        return hit[t] if t <= self.n else self.zero
 
 
 # A field is either the string "Q" or an odd prime p.
@@ -283,17 +317,9 @@ class EvalContext:
             raise ValueError("assignment matrices must share size and field")
         self.assignment = dict(assignment)
         self.n = sizes.pop()
-        self.field = fields.pop()
-        self._letters = {k: m.rows for k, m in self.assignment.items()}
-        self._words: dict[Word, list] = {}
-        self._sigmas: dict[Word, list] = {}
-        self._traces: dict[Word, object] = {}
-
-    def _letter_rows(self, lt) -> list:
-        m = self._letters.get(lt.index)
-        if m is None:
-            raise ValueError(f"no matrix for letter index {lt.index}")
-        return [list(col) for col in zip(*m)] if lt.transposed else m
+        self.field = field = fields.pop()
+        rows = {k: m.rows for k, m in self.assignment.items()}
+        self.table = _WordTable(self.n, rows, self._mul, lambda v: _reduce(v, field), 1, 0)
 
     def _mul(self, a, b) -> list:
         field = self.field
@@ -303,42 +329,18 @@ class EvalContext:
             ]
         return [[v % field for v in row] for row in _matmul(a, b)]
 
-    def _word_rows(self, w: Word) -> list:
-        return _word_product(w, self._words, self._letter_rows, self._mul)
-
-    def _sigma_list(self, w: Word) -> list:
-        hit = self._sigmas.get(w)
-        if hit is None:
-            out = _sigmas(self._word_rows(w), 1)
-            hit = self._sigmas[w] = [_reduce(v, self.field) for v in out]
-        return hit
-
-    def _raw_sigma(self, t: int, w: Word):
-        """The raw value of sigma_t(w), t >= 0: the trace of w when
-        t = 1 <= n, else entry t of its sigma_t list, or 0 for t > n.  The
-        list is built even then, so that a letter with no matrix is
-        refused."""
-        if t == 1 <= self.n:
-            hit = self._traces.get(w)
-            if hit is None:
-                trace = _word_trace(w, self._words, self._letter_rows, self._mul)
-                hit = self._traces[w] = _reduce(trace, self.field)
-            return hit
-        s = self._sigma_list(w)
-        return s[t] if t <= self.n else 0
-
     def word_matrix(self, w: Word) -> ExactMatrix:
-        return ExactMatrix(self._word_rows(w), self.field)
+        return ExactMatrix(self.table.product(w), self.field)
 
     def sigma(self, t: int, w: Word):
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return as_element(self._raw_sigma(t, w), self.field)
+        return as_element(self.table.sigma(t, w), self.field)
 
     def eval_poly(self, p: SigmaPoly):
         # An int coefficient enters as is: over F_p the sum is reduced once,
         # by as_element.
-        field, raw_sigma = self.field, self._raw_sigma
+        field, raw_sigma = self.field, self.table.sigma
         total = 0
         for mono, coeff in p.monomials.items():
             term = coeff if type(coeff) is int else _reduce(coeff, field)

@@ -35,20 +35,18 @@ so each object keeps its verdicts (SigmaPoly._verdicts, shared with its
 negations), keyed by (n, d, trials, seed, field) or, exact, by (n, d),
 and is evaluated once per configuration.  Since the trial matrices
 depend only on (n, d, trials, seed, field), a run shares one set of
-trial contexts, with their word-product and sigma_t caches, across all
-of its relations, and one table from each generator to its values at all
-trials; a relation is evaluated at every trial in one pass over its
-monomials.  Exact verification likewise shares one table per (n, d)
-across the process (_generic_images): it holds the generic matrices, the
-trace of each generic word and sigma_0, ..., sigma_n of each generic
-word matrix that needs t >= 2, computed once with the kernels that
-evaluate exact matrices (matrices._word_trace, from the two halves of
-the word, and the division-free matrices._sigmas), and the generic image
-of each sigma-monomial.  The trial values of a generator s_1(w) are
-likewise traces of the halves of w, not sigma_1 of the matrix of w.  A
-relation is a linear combination of the images of its sigma-monomials;
-each distinct monomial's image is expanded once and kept packed into one
-int (Kronecker substitution).  Exponent vectors are packed too: a
+trial contexts, each with its word table, across all of its relations,
+and one table from each generator to its values at all trials; a
+relation is evaluated at every trial in one pass over its monomials.
+Exact verification likewise shares one table per (n, d) across the
+process (_generic_images): it holds the word table (matrices._WordTable)
+of the generic matrices, the same class that the trial contexts use over
+raw values, so the generic word matrices, the trace of each word, read
+from its two halves, and sigma_0, ..., sigma_n of each word that needs
+t >= 2 are computed as the trial values are; and it holds the generic
+image of each sigma-monomial.  A relation is a linear combination of the
+images of its sigma-monomials; each distinct monomial's image is
+expanded once and kept packed into one int (Kronecker substitution).  Exponent vectors are packed too: a
 MultiPoly keys each term by one int with a field of _EXP_BITS bits per
 variable, sized from the exact caps, so multiplying two terms adds two
 ints.  The table numbers the exponent vectors of its images from 0, and
@@ -79,9 +77,7 @@ from .matrices import (
     EvalContext,
     _matmul,
     _reduce,
-    _sigmas,
-    _word_product,
-    _word_trace,
+    _WordTable,
     field_of,
     random_matrix,
 )
@@ -366,7 +362,7 @@ class _TrialValues(dict):
 
     def __missing__(self, gen: SigmaGen) -> tuple:
         t, _, cycle = gen
-        hit = self[gen] = tuple([c._raw_sigma(t, cycle) for c in self.contexts])
+        hit = self[gen] = tuple([c.table.sigma(t, cycle) for c in self.contexts])
         return hit
 
 
@@ -507,59 +503,40 @@ _FIELD_BITS = 32
 class _GenericImages(dict):
     """The generic matrices of one (n, d), over d * n * n variables, and a
     table from sigma-monomial to its generic image packed at _FIELD_BITS
-    and its height, each entry filled on first lookup.  Word matrices, the
-    trace and sigma_0, ..., sigma_n of each word and the exponent ids are
-    kept here too, so tables of different (n, d) share nothing."""
+    and its height, each entry filled on first lookup.  The word table of
+    the generic letters (word matrices, the trace and sigma_0, ..., sigma_n
+    of each word) and the exponent ids are kept here too, so tables of
+    different (n, d) share nothing."""
 
-    __slots__ = ("n", "nvars", "words", "traces", "sigmas", "ids")
+    __slots__ = ("n", "nvars", "table", "ids")
 
     def __init__(self, n: int, d: int):
         self.n, self.nvars = n, d * n * n
-        self.words: dict[tuple, list] = {}
-        for k in range(1, d + 1):
-            rows = [
+        letters = {
+            k: [
                 [MultiPoly.var(self.nvars, ((k - 1) * n + i) * n + j) for j in range(n)]
                 for i in range(n)
             ]
-            self.words[Letter(k),] = rows
-            self.words[Letter(k, True),] = [list(col) for col in zip(*rows)]
-        self.traces: dict[Word, MultiPoly] = {}
-        self.sigmas: dict[Word, list[MultiPoly]] = {}
+            for k in range(1, d + 1)
+        }
+        one, zero = MultiPoly.const(self.nvars, 1), MultiPoly.const(self.nvars, 0)
+        self.table = _WordTable(n, letters, _matmul, lambda v: v, one, zero)
         self.ids: dict[int, int] = {}
 
-    def _letter(self, lt: Letter) -> list:
-        rows = self.words.get((lt,))
-        if rows is None:
-            raise ValueError(f"no matrix for letter index {lt.index}")
-        return rows
-
-    def _check_width(self, w: Word) -> None:
+    def sigma(self, t: int, w: Word) -> MultiPoly:
+        """The generic sigma_t(w) of _WordTable.sigma, after refusing a
+        word whose exponents could overflow a packed field."""
         if self.n * len(w) >= 1 << _EXP_BITS:
             raise ValueError(
                 f"exponents up to {self.n * len(w)} overflow a packed field of {_EXP_BITS} bits"
             )
-
-    def sigma(self, t: int, w: Word) -> MultiPoly:
-        """The generic sigma_t(w): its trace when t = 1 <= n, else entry t
-        of its sigma_t list, or 0 for t > n."""
-        if t == 1 <= self.n:
-            hit = self.traces.get(w)
-            if hit is None:
-                self._check_width(w)
-                hit = self.traces[w] = _word_trace(w, self.words, self._letter, _matmul)
-            return hit
-        hit = self.sigmas.get(w)
-        if hit is None:
-            self._check_width(w)
-            prod = _word_product(w, self.words, self._letter, _matmul)
-            hit = self.sigmas[w] = _sigmas(prod, MultiPoly.const(self.nvars, 1))
-        return hit[t] if t <= self.n else MultiPoly.const(self.nvars, 0)
+        return self.table.sigma(t, w)
 
     def image(self, mono: Monomial) -> MultiPoly:
         """The product of the generic sigma_t of the factors of mono."""
         factors = [self.sigma(g.t, g.cycle) for g in mono]
         if not factors:
-            return MultiPoly.const(self.nvars, 1)
+            return self.table.one
         return functools.reduce(operator.mul, factors)
 
     def pack(self, image: MultiPoly, width: int) -> tuple[int, int]:
@@ -690,9 +667,11 @@ def write_certificates(certs: list[dict], path: str) -> None:
 
 def _check_certificate(cert) -> None:
     """Raises ValueError unless cert has the JSON types that
-    rebuild_relation and replay_certificate read, with n, d >= 1, and the
-    words its shape takes: for a gl certificate one t, no r or s, and one
-    or two words; for an o certificate one word per part of t, r and s."""
+    rebuild_relation, replay_certificate and verify read, with n, d >= 1,
+    kind "o" or "gl", mode "randomized" or "exact", a bool verified, and
+    the words its shape takes: for a gl certificate one t, no r or s, and
+    one or two words; for an o certificate one word per part of t, r and
+    s."""
 
     def ints(v):
         return isinstance(v, list) and all(type(x) is int for x in v)
@@ -706,6 +685,9 @@ def _check_certificate(cert) -> None:
     shape = cert.get("shape") if isinstance(cert, dict) else None
     if not (
         isinstance(shape, dict)
+        and cert.get("kind") in ("o", "gl")
+        and cert.get("mode") in ("randomized", "exact")
+        and type(cert.get("verified")) is bool
         and all(ints(shape.get(k)) for k in "trs")
         and all(type(cert.get(k)) is int and cert[k] >= 1 for k in ("n", "d"))
         and isinstance(cert.get("words"), list)

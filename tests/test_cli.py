@@ -544,6 +544,16 @@ GL_CERT = {
     {**GL_CERT, "words": ["x1", "x1'", "x1 x1'"]},
     {**CERT, "words": ["x1", "x1"]},
     {**CERT, "words": ["x1", "x1", "x1", "x1"]},
+    {**CERT, "verified": "yes"},
+    {**CERT, "verified": 1},
+    {**GL_CERT, "verified": None},
+    {k: v for k, v in CERT.items() if k != "verified"},
+    {k: v for k, v in CERT.items() if k != "mode"},
+    {**GL_CERT, "mode": "fast"},
+    {**GL_CERT, "mode": ["exact"]},
+    {k: v for k, v in GL_CERT.items() if k != "kind"},
+    {**GL_CERT, "kind": "O"},
+    {**CERT, "kind": {"o": 1}},
 ])
 def test_certificate_shape_must_fit_its_words(capsys, tmp_path, cert):
     path = tmp_path / "certs.json"

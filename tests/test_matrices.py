@@ -10,18 +10,15 @@ from sigmaring.matrices import (
     ExactMatrix,
     _check_prime,
     _is_prime,
-    _matmul,
     _reduce,
     _sigmas,
-    _word_product,
-    _word_trace,
     as_element,
     field_of,
     matrix_from_json_obj,
     random_matrix,
     random_symmetric,
 )
-from sigmaring.relations import MultiPoly, _GenericImages, enumerate_words
+from sigmaring.relations import _GenericImages, enumerate_words
 from sigmaring.ring import SigmaGen, SigmaPoly, sigma_of_word
 from sigmaring.sigmatr import sigma_tr
 from sigmaring.tableau import bpf, build_T
@@ -439,35 +436,60 @@ def test_prefix_word_products_match_letter_by_letter(field, fractional):
             assert ctx.word_matrix(w) == want, w
 
 
+RINGS = ["Q", "Q-fractions", "Fp", "generic"]
+
+
 def trace_ring(ring: str):
-    """(letter, mul, unit, normal form of a value) of one ring of word
-    matrices over letters 1 and 2: the raw values of EvalContext at n = 3
-    over Q (int entries, then Fraction entries) and over F_7, and generic
-    MultiPoly matrices at n = 2."""
+    """(a fresh word table over letters 1 and 2, normal form of a value) of
+    one ring: the raw values of EvalContext at n = 3 over Q (int entries,
+    then Fraction entries) and over F_7, and generic MultiPoly matrices at
+    n = 2."""
     if ring == "generic":
-        table = _GenericImages(2, 2)
-        return table._letter, _matmul, MultiPoly.const(table.nvars, 1), lambda v: v.terms
+        return _GenericImages(2, 2).table, lambda v: v.terms
     field = 7 if ring == "Fp" else "Q"
     make = fractional_matrix if ring == "Q-fractions" else (lambda n, s, f: random_matrix(n, s, field=f))
     ctx = EvalContext({k: make(3, 70 + k, field) for k in (1, 2)})
-    return ctx._letter_rows, ctx._mul, 1, lambda v: _reduce(v, field)
+    return ctx.table, lambda v: _reduce(v, field)
 
 
-@pytest.mark.parametrize("ring", ["Q", "Q-fractions", "Fp", "generic"])
+@pytest.mark.parametrize("ring", RINGS)
 def test_word_trace_is_sigma_1_of_the_word_product(ring):
     """tr(w) from the matrices of its two halves equals sigma_1 of its
     product matrix by Berkowitz, on every word of up to 6 letters over
-    letters 1 and 2 with transposes."""
-    letter, mul, one, form = trace_ring(ring)
-    halves, whole = {}, {}
+    letters 1 and 2 with transposes; the products come from a second
+    table, so no trace can read a matrix of its whole word."""
+    (halves, form), (whole, _) = trace_ring(ring), trace_ring(ring)
     for w in enumerate_words(2, 6):
-        got = _word_trace(w, halves, letter, mul)
-        assert form(got) == form(_sigmas(_word_product(w, whole, letter, mul), one)[1]), w
-    # the halves are cached as _word_product caches them; w itself is not
+        got = halves.sigma(1, w)
+        assert form(got) == form(_sigmas(whole.product(w), whole.one)[1]), w
+    # the halves are cached as products cache them; w itself is not
     w = enumerate_words(2, 5)[-1]
-    cache: dict = {}
-    _word_trace(w, cache, letter, mul)
-    assert set(cache) == {w[:1], w[:2], w[2:3], w[2:4], w[2:]}
+    table, _ = trace_ring(ring)
+    letters = set(table.words)
+    assert letters == {(Letter(k, tr),) for k in (1, 2) for tr in (False, True)}
+    table.sigma(1, w)
+    assert set(table.words) == letters | {w[:2], w[2:4], w[2:]}
+    assert set(table.traces) == {w} and not table.sigmas
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_word_table_refuses_a_missing_letter_at_every_t(ring):
+    """A letter with no matrix is refused with one message whether t asks
+    for the trace, a sigma_t list entry or a t beyond n; t > n gives the
+    ring's zero."""
+    table, form = trace_ring(ring)
+    n = table.n
+    for w in (Word([Letter(3)]), Word([Letter(1), Letter(3, True)]), Word([Letter(3), Letter(2)])):
+        for t in (0, 1, 2, n + 1):
+            with pytest.raises(ValueError) as err:
+                table.sigma(t, w)
+            assert str(err.value) == "no matrix for letter index 3", (w, t)
+    w = Word([Letter(1), Letter(1, True)])  # letter 1 is invertible
+    zero = table.sigma(n + 1, w)
+    assert type(zero) is type(table.sigma(0, w)) and not zero
+    assert form(zero) == form(table.zero)
+    det = table.sigma(n, w)
+    assert det and form(det) == form(_sigmas(table.product(w), table.one)[n])
 
 
 @pytest.mark.parametrize("p", [5, 7, 10007])
@@ -478,12 +500,13 @@ def test_int_layer_stays_reduced_mod_p(p):
     ctx = EvalContext({k: random_matrix(3, 40 + k, field=p) for k in (1, 2)})
     for _ in range(10):
         ctx.eval_poly(random_sigma_poly(rng, 3, 2))
-    values = [v for rows in ctx._words.values() for row in rows for v in row]
-    values += [v for s in ctx._sigmas.values() for v in s]
-    values += ctx._traces.values()
+    table = ctx.table
+    values = [v for rows in table.words.values() for row in rows for v in row]
+    values += [v for s in table.sigmas.values() for v in s]
+    values += table.traces.values()
     assert values and all(type(v) is int and 0 <= v < p for v in values)
-    assert ctx._traces
-    assert any(len(key) > 1 for key in ctx._words)
+    assert table.traces
+    assert any(len(key) > 1 for key in table.words)
 
 
 @pytest.mark.parametrize("p", [5, 7])

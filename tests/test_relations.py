@@ -718,8 +718,14 @@ def test_shared_exact_images_do_not_cross_configurations():
         for e in table.ids:
             unpack(e, table.nvars)  # no field beyond the table's variables
         assert sorted(table.ids.values()) == list(range(len(table.ids)))
-    for state in ("words", "traces", "sigmas", "ids"):
-        assert len({id(getattr(table, state)) for table in tables}) == 4
+    for state in ("words", "traces", "sigmas"):
+        assert len({id(getattr(table.table, state)) for table in tables}) == 4
+    assert len({id(table.ids) for table in tables}) == 4
+    # each word table holds its own d letters, over its own variables
+    for table, (n, d) in zip(tables, shapes):
+        letters = {(Letter(k, tr),) for k in range(1, d + 1) for tr in (False, True)}
+        assert {w for w in table.table.words if len(w) == 1} == letters
+        assert {v.nvars for rows in table.table.words.values() for row in rows for v in row} == {table.nvars}
 
 
 _oracle_images: dict = {}
@@ -901,13 +907,13 @@ def test_generic_sigma_refuses_exponents_beyond_the_field():
     tables = {n: relations._generic_images(n, 1) for n in (1, 2)}
     assert unpacked(tables[1].sigma(1, Word([Letter(1)] * top))) == {(top,): 1}
     state = ("words", "traces", "sigmas")
-    memo = {n: [dict(getattr(table, k)) for k in state] for n, table in tables.items()}
+    memo = {n: [dict(getattr(table.table, k)) for k in state] for n, table in tables.items()}
     for n, length in ((1, top + 1), (2, (top + 1) // 2)):
         w = Word([Letter(1), Letter(1, True)] * (length // 2))
         for t in (1, 2):  # the trace is refused as the sigma_t list is
             with pytest.raises(ValueError, match=f"exponents up to {top + 1} overflow"):
                 tables[n].sigma(t, w)
-    assert {n: [getattr(table, k) for k in state] for n, table in tables.items()} == memo
+    assert {n: [getattr(table.table, k) for k in state] for n, table in tables.items()} == memo
 
 
 def test_certificate_roundtrip(tmp_path):
